@@ -22,7 +22,11 @@ Acceptance bars, enforced on every ``--quick`` run:
 * fused ≥1.6× on the *weighted* n=16 case (ISSUE 10 — the bucketed
   gather closes the old ~1.28× weighted gap), parity ≤1e-12;
 * compiled ≥1.5× over numpy at n=16 when numba is present (ISSUE 10),
-  parity ≤1e-12; skipped (never failed) without numba.
+  parity ≤1e-12; skipped (never failed) without numba;
+* fused ≥4× over numpy on the pointwise ``qaoa-deep`` shape —
+  ``evolve_state`` on weighted ER(18, 0.3) at p=3 from the solver's
+  ramp start — where the mixer's blocked stages carry every qubit,
+  parity ≤1e-12.
 
 ``--quick`` emits the JSON report, enforces the bars, and writes the
 shared-schema ``BENCH_backends.json`` regression record (checksum over
@@ -38,9 +42,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.graphs import erdos_renyi
+from repro.graphs import cut_diagonal, erdos_renyi
 from repro.qaoa import SweepEngine
-from repro.quantum.backend import numba_available
+from repro.qaoa.params import initial_parameters
+from repro.quantum.backend import get_backend, numba_available
 
 EDGE_PROB = 0.3
 GRAPH_SEED = 0
@@ -52,6 +57,10 @@ GATE_QUBITS = 16
 MIN_SPEEDUP = 1.3
 MIN_WEIGHTED_SPEEDUP = 1.6
 MIN_COMPILED_SPEEDUP = 1.5
+# The perfbench qaoa-deep shape: pointwise evolve_state, one state per call.
+POINTWISE_QUBITS = 18
+POINTWISE_LAYERS = 3
+MIN_POINTWISE_SPEEDUP = 4.0
 MAX_DEV = 1e-12
 SKIPPED = "skipped"
 
@@ -138,6 +147,30 @@ def _measure(n_qubits: int, weighted: bool) -> dict:
     return run
 
 
+def _measure_pointwise() -> dict:
+    graph = erdos_renyi(POINTWISE_QUBITS, EDGE_PROB, weighted=True, rng=GRAPH_SEED)
+    diagonal = cut_diagonal(graph)
+    params = initial_parameters(POINTWISE_LAYERS)
+    backends = {name: get_backend(name) for name in ("numpy", "fused")}
+    seconds = {
+        name: _best_of(lambda b=backend: b.evolve_state(diagonal, params))
+        for name, backend in backends.items()
+    }
+    states = {
+        name: backend.evolve_state(diagonal, params)
+        for name, backend in backends.items()
+    }
+    return {
+        "n_qubits": POINTWISE_QUBITS,
+        "weighted": True,
+        "layers": POINTWISE_LAYERS,
+        "numpy_s": seconds["numpy"],
+        "fused_s": seconds["fused"],
+        "speedup": seconds["numpy"] / seconds["fused"],
+        "max_abs_dev": float(np.abs(states["fused"] - states["numpy"]).max()),
+    }
+
+
 def quick_report() -> dict:
     runs = [_measure(n, weighted=False) for n in QUBIT_COUNTS]
     # The weighted n=16 case exercises the bucketed-residual gather (its
@@ -149,6 +182,7 @@ def quick_report() -> dict:
         "graph_seed": GRAPH_SEED,
         "numba_available": numba_available(),
         "runs": runs,
+        "pointwise": _measure_pointwise(),
     }
 
 
@@ -175,7 +209,7 @@ def main() -> None:
         run for run in report["runs"]
         if run["n_qubits"] == GATE_QUBITS and run["weighted"]
     )
-    # Acceptance bars (ISSUE 5 + ISSUE 10), enforced on every CI run.
+    # Acceptance bars, enforced on every CI run.
     for run in report["runs"]:
         assert run["max_abs_dev"] <= MAX_DEV, (
             f"fused deviates from numpy by {run['max_abs_dev']:.2e} "
@@ -193,6 +227,16 @@ def main() -> None:
     assert weighted_gate["speedup"] >= MIN_WEIGHTED_SPEEDUP, (
         f"weighted fused only {weighted_gate['speedup']:.2f}x over numpy at "
         f"n={GATE_QUBITS} (need >= {MIN_WEIGHTED_SPEEDUP}x)"
+    )
+    pointwise = report["pointwise"]
+    assert pointwise["max_abs_dev"] <= MAX_DEV, (
+        f"pointwise fused state deviates from numpy by "
+        f"{pointwise['max_abs_dev']:.2e} at n={POINTWISE_QUBITS}"
+    )
+    assert pointwise["speedup"] >= MIN_POINTWISE_SPEEDUP, (
+        f"pointwise fused only {pointwise['speedup']:.2f}x over numpy at "
+        f"n={POINTWISE_QUBITS}, p={POINTWISE_LAYERS} "
+        f"(need >= {MIN_POINTWISE_SPEEDUP}x)"
     )
     if gate["compiled_speedup"] != SKIPPED:
         assert gate["compiled_speedup"] >= MIN_COMPILED_SPEEDUP, (

@@ -40,6 +40,8 @@ class ExecutorConfig:
             )
         if self.max_workers is None:
             self.max_workers = max(1, (os.cpu_count() or 2) - 1)
+        elif self.max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
 
 
 def map_jobs(

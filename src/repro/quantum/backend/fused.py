@@ -14,16 +14,17 @@ qubits, so the diagonalisation *factors*: for any split
 
 The reference backend walks qubit by qubit (``s_j ≡ 1``): 3n full-array
 complex ufunc passes per layer, the NumPy pass-count floor the ROADMAP
-calls out.  This backend instead applies the diagonalisation in two or
-three *blocked stages* (~5 qubits each): every stage is one pass over the
-state — a BLAS matmul against the stage's fused
+calls out.  This backend instead applies the diagonalisation in *blocked
+stages* of at most 5 qubits, and every qubit goes through one: each stage
+is one pass over the state — a BLAS matmul against the stage's fused
 ``H·diag(eigenphases)·H`` matrix, built from eigenphase tables indexed by
-a cached per-stage popcount vector — so a whole layer costs ~2–3 blocked
-passes plus a few middle-qubit rotations instead of 3n elementwise ones.
-Low qubits (where per-qubit passes stride badly) go through a realified
-GEMM on the interleaved re/im view; high qubits through a batched matmul
-on the leading basis axis; any middle qubits keep the reference per-qubit
-rotation, whose strides are benign there.
+a cached per-stage popcount vector — so a layer costs ``1 + ⌈(n−5)/5⌉``
+blocked passes (4 at n=16 and n=18) instead of 3n elementwise ones.
+The low 5 qubits (where per-qubit passes stride worst) go through a
+realified GEMM on the interleaved re/im view; the rest split into
+near-equal stages (:func:`stage_widths`: n=18 → 5 | 5, 4, 4), each a
+batched matmul on the ``(B, 2^(n−q−m), 2^m, 2^q)`` view of its ``m``
+qubits starting at ``q``, ping-ponging with one scratch buffer.
 
 Elementwise fusion: the ``1/2^s`` transform normalisations, the caller's
 optional ``scale`` factor (used by :meth:`evolve_batch` to absorb the
@@ -36,7 +37,8 @@ scratch comes from the shared
 
 Parity: ≤1e-12 against :class:`NumpyBackend` for every shape
 (property-tested in ``tests/test_backends.py``); ≥1.3× on batched p≥2
-evolution at n=16 (gated in ``benchmarks/bench_backends.py``).
+evolution at n=16 and ≥4× on pointwise p=3 evolution at n=18 (both
+gated in ``benchmarks/bench_backends.py``).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from repro.util.tracing import current_trace
 
 # Stage widths: ~32×32 stage matrices are big enough that one blocked
 # pass replaces five strided per-qubit passes, small enough that building
-# them per call is negligible.  Tuned on the n∈{12..16} bench.
+# them per call is negligible.  Tuned on the n∈{12..18} bench.
 LOW_STAGE_QUBITS = 5
 HIGH_STAGE_QUBITS = 5
 # Cost diagonals with at most this many distinct values (and at most a
@@ -87,6 +89,16 @@ COST_RESIDUAL_X_MAX = 0.1
 # measured sweet spot on the n=16 batched p=2 bench (wider chunks start
 # spilling the shared cache and the weighted-gather win shrinks).
 FUSED_CHUNK_BUDGET_BYTES = 16 * 1024 * 1024
+
+
+def stage_widths(n: int) -> Tuple[int, ...]:
+    """The mixer's stage plan for ``n`` qubits, lowest qubits first: a
+    low stage of ``min(n, LOW_STAGE_QUBITS)``, then the rest split into
+    the fewest stages of at most ``HIGH_STAGE_QUBITS``, widest first and
+    differing by at most one (n=18 → 5 | 5, 4, 4)."""
+    k = min(n, LOW_STAGE_QUBITS)
+    count = -(-(n - k) // HIGH_STAGE_QUBITS)
+    return (k, *((n - k + count - 1 - i) // count for i in range(count)))
 
 
 class FusedBackend(NumpyBackend):
@@ -129,8 +141,8 @@ class FusedBackend(NumpyBackend):
     def _stage_matrix(self, s: int, beta_arr: np.ndarray, scale: float) -> np.ndarray:
         """``scale · RX(2β)^{⊗s}`` as ``H_s · D_β · H_s / 2^s``.
 
-        ``beta_arr`` is 0-d (one ``(2^s, 2^s)`` matrix) or ``(B,)``
-        (a ``(B, 2^s, 2^s)`` stack, one per batch row).
+        ``beta_arr``'s shape leads the result: 0-d gives one
+        ``(2^s, 2^s)`` matrix, ``(B,)`` a ``(B, 2^s, 2^s)`` stack.
         """
         H, pc, eig = self._stage_tables(s)
         # exp(-iβ·(s − 2·popcount)) gathered from the (s+1)-entry table.
@@ -243,12 +255,14 @@ class FusedBackend(NumpyBackend):
         A one-row matmul dispatches to BLAS's vector kernel, whose
         accumulation over the Taylor axis differs from the batched GEMM's
         at ~1e-15 — enough to break the chunk-width invariance the engine
-        pins (``TestChunkPolicy``).  Single rows are therefore evaluated
-        as a duplicated two-row GEMM, keeping every batch width on the
-        same kernel.
+        pins (``TestChunkPolicy``).  One-row *batches* (``γ`` of shape
+        ``(1,)``) are therefore evaluated as a duplicated two-row GEMM,
+        keeping every batch width on the same kernel; a pointwise 0-d
+        ``γ`` has no batch to agree with and takes the cheaper vector
+        kernel.
         """
         coeffs = self._residual_coeffs(gam)
-        if gam.size == 1:
+        if gam.shape == (1,):
             out[...] = np.matmul(coeffs[[0, 0]], rpow)[:1]
             return out
         return np.matmul(coeffs, rpow, out=out)
@@ -295,12 +309,11 @@ class FusedBackend(NumpyBackend):
                 buf = scratch.reshape(batched.shape)
             else:
                 buf = np.empty_like(batched)
-            gam1 = gam.reshape(-1)
             # Residual rotation first (GEMM into the scratch), then the
             # coarse gathered phase reusing the same buffer.
-            self._residual_rotation(gam1, rpow, buf)
+            self._residual_rotation(gam, rpow, buf)
             batched *= buf
-            coarse = np.exp(np.multiply.outer(-1j * gam1, reps))
+            coarse = np.exp(np.multiply.outer(-1j * gam.reshape(-1), reps))
             np.take(coarse, idx, axis=1, out=buf)
             batched *= buf
             return states
@@ -373,8 +386,7 @@ class FusedBackend(NumpyBackend):
         swap = scratch.reshape(work.shape)
 
         batch = work.shape[0]
-        k = min(n, LOW_STAGE_QUBITS)
-        h = min(n - k, HIGH_STAGE_QUBITS)
+        k, *highs = stage_widths(n)
         factor = 1.0 if scale is None else float(scale)
 
         # Low-k stage: realified GEMM on the interleaved re/im row view
@@ -385,30 +397,16 @@ class FusedBackend(NumpyBackend):
         np.matmul(rv, low, out=sv)
         src, dst = swap, work
 
-        # Middle qubits: the reference per-qubit rotation (benign strides
-        # here: inner blocks are ≥ 2^k, outer blocks ≥ 2^h).
-        if n > k + h:
-            c = np.cos(beta_arr)
-            s_ = -1j * np.sin(beta_arr)
-            if beta_arr.ndim == 1:
-                c = c[:, None, None, None]
-                s_ = s_[:, None, None, None]
-            for q in range(k, n - h):
-                view = src.reshape(batch, 1 << (n - 1 - q), 2, 1 << q)
-                tview = dst.reshape(view.shape)
-                np.multiply(view[:, :, ::-1, :], s_, out=tview)
-                np.multiply(view, c, out=view)
-                view += tview
-
-        # High-h stage: batched matmul over the leading basis axis.
-        if h:
-            high = self._stage_matrix(h, beta_arr, 1.0)
-            if high.ndim == 2:
-                high = np.ascontiguousarray(high)
-            xv = src.reshape(batch, 1 << h, -1)
-            ov = dst.reshape(xv.shape)
-            np.matmul(high, xv, out=ov)
+        # Every higher qubit: one batched matmul per stage of m qubits
+        # starting at qubit q, on the (B, 2^(n-q-m), 2^m, 2^q) view; the
+        # trailing β axis makes per-row stacks (B, 1, 2^m, 2^m).
+        q = k
+        for m in highs:
+            stage = self._stage_matrix(m, beta_arr[..., None], 1.0)
+            xv = src.reshape(batch, 1 << (n - q - m), 1 << m, 1 << q)
+            np.matmul(stage, xv, out=dst.reshape(xv.shape))
             src, dst = dst, src
+            q += m
 
         if src is not work:
             work[...] = src
@@ -478,4 +476,5 @@ __all__ = [
     "FusedBackend",
     "HIGH_STAGE_QUBITS",
     "LOW_STAGE_QUBITS",
+    "stage_widths",
 ]

@@ -126,21 +126,51 @@ class TestCrossBackendParity:
                 engine.energies(matrix), singles, atol=PARITY_ATOL
             )
 
-    def test_middle_qubit_stage_parity(self):
-        # n > LOW_STAGE_QUBITS + HIGH_STAGE_QUBITS (10) exercises the
-        # fused mixer's middle per-qubit rotation branch, which no
-        # n ≤ 10 case reaches.
-        from repro.quantum.backend.fused import HIGH_STAGE_QUBITS, LOW_STAGE_QUBITS
-
-        n = LOW_STAGE_QUBITS + HIGH_STAGE_QUBITS + 2
+    def test_blocked_mixer_parity_every_width(self):
+        # Every stage plan up to n=18 (5 | 5, 4, 4): 1-D pointwise,
+        # B=1 and B=5 batched evolution (per-row β, first mixer folding
+        # the 1/√dim amplitude via scale=), and a scalar β shared by all
+        # rows with an explicit scale= fold; weighted diagonals at n ≥ 10
+        # also cross the bucketed-residual cost path.
+        ref, fused = NumpyBackend(), FusedBackend()
         rng = np.random.default_rng(13)
-        for weighted in (False, True):
-            graph = erdos_renyi(n, 0.25, weighted=weighted, rng=1)
-            diag = cut_diagonal(graph)
-            mat = rng.uniform(-np.pi, np.pi, (3, 4))
-            a = NumpyBackend().evolve_batch(diag, mat).copy()
-            b = FusedBackend().evolve_batch(diag, mat).copy()
-            np.testing.assert_allclose(a, b, atol=PARITY_ATOL)
+        for n in range(1, 19):
+            for weighted in (False, True):
+                diag = cut_diagonal(erdos_renyi(n, 0.4, weighted=weighted, rng=n))
+                params = rng.uniform(-np.pi, np.pi, 4)
+                np.testing.assert_allclose(
+                    fused.evolve_state(diag, params),
+                    ref.evolve_state(diag, params),
+                    atol=PARITY_ATOL,
+                )
+                for rows in (1, 5):
+                    mat = rng.uniform(-np.pi, np.pi, (rows, 4))
+                    a = ref.evolve_batch(diag, mat).copy()
+                    b = fused.evolve_batch(diag, mat).copy()
+                    np.testing.assert_allclose(a, b, atol=PARITY_ATOL)
+                    shared = 0.5 * ref.apply_mixer_layer(a.copy(), 0.37)
+                    folded = fused.apply_mixer_layer(a, 0.37, scale=0.5)
+                    np.testing.assert_allclose(folded, shared, atol=PARITY_ATOL)
+
+    def test_stage_plan_is_pure_and_bounded(self):
+        from repro.quantum.backend.fused import (
+            HIGH_STAGE_QUBITS,
+            LOW_STAGE_QUBITS,
+            stage_widths,
+        )
+
+        for n in range(34):
+            plan = stage_widths(n)
+            assert plan == stage_widths(n)
+            assert sum(plan) == n
+            assert plan[0] == min(n, LOW_STAGE_QUBITS)
+            highs = plan[1:]
+            assert all(1 <= m <= HIGH_STAGE_QUBITS for m in highs)
+            assert len(highs) == -(-(n - plan[0]) // HIGH_STAGE_QUBITS)
+            assert list(highs) == sorted(highs, reverse=True)
+            assert not highs or highs[0] - highs[-1] <= 1
+        assert stage_widths(18) == (5, 5, 4, 4)
+        assert stage_widths(16) == (5, 4, 4, 3)
 
     def test_weighted_and_unweighted_cost_paths_agree(self):
         # Unweighted diagonals take the fused exact-gather path; weighted

@@ -19,6 +19,15 @@ class TestExecutorConfig:
         with pytest.raises(ValueError, match="unknown backend"):
             ExecutorConfig(backend="gpu")
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected(self, workers):
+        # Rejected up front: a one-job batch would otherwise run serially
+        # and a multi-job one fail inside the pool.
+        with pytest.raises(ValueError, match="max_workers"):
+            ExecutorConfig(backend="thread", max_workers=workers)
+        with pytest.raises(ValueError, match="max_workers"):
+            map_jobs(square, [1], backend="thread", max_workers=workers)
+
     def test_backends_constant(self):
         assert set(BACKENDS) == {"serial", "thread", "process"}
 
