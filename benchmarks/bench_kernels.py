@@ -52,7 +52,8 @@ def test_kernel_single_qubit_gate(benchmark, state):
 
 
 def test_kernel_rx_layer(benchmark, state):
-    benchmark(lambda: KERNELS.apply_mixer_layer(state.copy(), 0.3))
+    # Layer primitives take (B, dim) batches: a one-row batch here.
+    benchmark(lambda: KERNELS.apply_mixer_layer(state[None].copy(), 0.3))
 
 
 def test_kernel_diagonal_phase(benchmark, graph, state):

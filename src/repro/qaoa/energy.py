@@ -2,9 +2,11 @@
 
 The QAOA cost unitary ``exp(-iγ H_C)`` is *diagonal* in the computational
 basis and the MaxCut H_C diagonal is the cut-value vector, so one QAOA
-objective evaluation is: one elementwise complex exponential multiply per
-layer plus ``n`` vectorised RX passes for the mixer.  This is the hot loop
-of every experiment in the paper; no circuit objects are built inside it.
+objective evaluation is one statevector-backend ``evolve_state`` call: per
+layer, one diagonal phase multiply for the cost unitary and one mixer
+application (per-qubit RX passes on ``numpy``, a few blocked Walsh–Hadamard
+stages on ``fused`` — see :mod:`repro.quantum.backend`).  This is the hot
+loop of every experiment in the paper; no circuit objects are built inside it.
 The circuit-level simulator path (via :mod:`repro.synth`) computes the same
 state and is cross-validated in the tests.
 """

@@ -11,7 +11,8 @@ expressed in six operations:
   elementwise diagonal phase multiply,
 * :meth:`StatevectorBackend.apply_mixer_layer` — ``exp(-iβ ΣX)``,
 * :meth:`StatevectorBackend.evolve_batch` / :meth:`evolve_state` — the
-  composed p-layer circuit, batched and pointwise,
+  composed p-layer circuit, batched and pointwise, both one walk
+  through the same cost→mixer loop,
 * :meth:`StatevectorBackend.expectations_batch` — ⟨ψ|H_C|ψ⟩ per row,
 
 plus :meth:`walsh_transform` (the unnormalised Walsh–Hadamard transform
@@ -25,8 +26,12 @@ must agree numerically to ≤1e-12 with :class:`NumpyBackend`, which is the
 bit-identical wrapper over the seed kernels.
 
 State layout is the repo-wide convention: dense ``complex128``, qubit
-``q`` = bit ``q`` of the little-endian basis index; batches are
-``(B, 2**n)`` with the batch index leading.  Parameter rows are packed
+``q`` = bit ``q`` of the little-endian basis index.  There is one state
+shape: every layer primitive takes a ``(B, 2**n)`` batch (batch index
+leading) and rejects a 1-D state; a lone state is a one-row batch.  Each
+layer angle is a scalar shared by every row or a ``(B,)`` per-row
+vector — :meth:`evolve_state` walks its one row with scalar angles,
+:meth:`evolve_batch` with ``(B,)`` columns.  Parameter rows are packed
 ``[γ_1..γ_p, β_1..β_p]``.
 """
 
@@ -38,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from repro.quantum.backend.scratch import ScratchPool, shared_pool
-from repro.quantum.statevector import n_qubits_for_dim, plus_state
+from repro.quantum.statevector import n_qubits_for_dim
 from repro.util.tracing import current_trace
 
 # Default sweep-chunk sizing (the cache-resident policy the engine has
@@ -99,9 +104,9 @@ class StatevectorBackend(ABC):
     ) -> np.ndarray:
         """In place: multiply by ``exp(-iγ · diagonal)``.
 
-        ``states`` is a single ``(2**n,)`` vector with scalar ``gammas``,
-        or a ``(B, 2**n)`` batch with a ``(B,)`` per-row γ vector.
-        ``scratch`` is an optional same-shape phase-table buffer.
+        ``states`` is a ``(B, 2**n)`` batch; ``gammas`` is a scalar shared
+        by every row or a ``(B,)`` per-row vector.  ``scratch`` is an
+        optional same-shape phase-table buffer.
         """
 
     @abstractmethod
@@ -114,8 +119,8 @@ class StatevectorBackend(ABC):
     ) -> np.ndarray:
         """In place: apply ``exp(-iβ Σ_q X_q)`` (RX(2β) on every qubit).
 
-        Same single/batched shape contract as :meth:`apply_cost_layer`;
-        batched states additionally accept a scalar β shared by all rows.
+        Same shape contract as :meth:`apply_cost_layer`: a ``(B, 2**n)``
+        batch with a scalar or ``(B,)`` β.
         """
 
     @abstractmethod
@@ -177,25 +182,48 @@ class StatevectorBackend(ABC):
             "backend-evolve", backend=self.name, rows=m, layers=p
         ):
             states = self.plus_state_batch(n, m, out=pool.take("states", (m, dim)))
-            scratch = pool.take("phases", (m, dim))
-            for layer in range(p):
-                self.apply_cost_layer(states, diagonal, mat[:, layer], scratch=scratch)
-                # The phase scratch doubles as the mixer's ping-pong buffer.
-                self.apply_mixer_layer(states, mat[:, p + layer], scratch=scratch)
-            return states
+            return self._walk_layers(
+                states, diagonal, mat, pool.take("phases", (m, dim))
+            )
 
     def evolve_state(self, diagonal: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """|ψ_p(γ, β)⟩ for one packed parameter vector (fresh array)."""
+        """|ψ_p(γ, β)⟩ for one packed parameter vector (fresh array).
+
+        Walks a one-row batch with *scalar* angles: the angle's shape, not
+        the state's, marks a lone state (fused's cost layer keys its
+        cheaper one-row kernel on it).  No scratch is passed, so each
+        primitive allocates its own after any per-diagonal table build:
+        a buffer held across the call (pooled or per call) sits under
+        fused's first-call cost-table build and raised ``qaoa-deep``'s
+        peak RSS by ~4 MiB.
+        """
         params = np.asarray(params, dtype=np.float64)
         if params.ndim != 1 or len(params) % 2 != 0:
             raise ValueError("parameter vector must have even length (γs then βs)")
-        n = n_qubits_for_dim(len(diagonal))
-        p = len(params) // 2
-        state = plus_state(n)
-        for layer in range(p):
-            state = self.apply_cost_layer(state, diagonal, params[layer])
-            state = self.apply_mixer_layer(state, params[p + layer])
-        return state
+        states = self.plus_state_batch(n_qubits_for_dim(len(diagonal)), 1)
+        return self._walk_layers(states, diagonal, params, None)[0]
+
+    def _walk_layers(
+        self,
+        states: np.ndarray,
+        diagonal: np.ndarray,
+        params: np.ndarray,
+        scratch: Optional[np.ndarray],
+        first: int = 0,
+    ) -> np.ndarray:
+        """Cost→mixer layers ``first..p-1`` in place on a ``(B, dim)`` batch.
+
+        ``params`` is a ``(B, 2p)`` matrix (per-row ``(B,)`` angle columns)
+        or one ``(2p,)`` vector (scalar angles shared by every row).
+        ``scratch`` is shared by every primitive call, or ``None`` for
+        each to allocate its own.
+        """
+        p = params.shape[-1] // 2
+        for layer in range(first, p):
+            self.apply_cost_layer(states, diagonal, params[..., layer], scratch=scratch)
+            # The phase scratch doubles as the mixer's ping-pong buffer.
+            self.apply_mixer_layer(states, params[..., p + layer], scratch=scratch)
+        return states
 
     # -- helpers ---------------------------------------------------------
     @staticmethod

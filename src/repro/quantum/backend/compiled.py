@@ -44,7 +44,11 @@ import numpy as np
 
 from repro.quantum.backend.base import BackendUnavailable, StatevectorBackend
 from repro.quantum.backend.scratch import ScratchPool, shared_pool
-from repro.quantum.statevector import n_qubits_for_dim, plus_state_batch
+from repro.quantum.statevector import (
+    _batch_angles,
+    n_qubits_for_dim,
+    plus_state_batch,
+)
 from repro.util.tracing import current_trace
 
 # Per-chunk state-buffer budget for the compiled evolve kernel.  The
@@ -211,27 +215,18 @@ class CompiledBackend(StatevectorBackend):
 
     # -- shape plumbing ---------------------------------------------------
     @staticmethod
-    def _as_batch(states: np.ndarray) -> np.ndarray:
-        if states.ndim == 1:
-            return states.reshape(1, -1)
-        if states.ndim == 2:
-            return states
-        raise ValueError(f"state must be 1-D or 2-D, got ndim={states.ndim}")
-
-    @staticmethod
-    def _row_params(values, rows: int, batched: bool, what: str) -> np.ndarray:
-        arr = np.asarray(values, dtype=np.float64)
+    def _row_angles(states: np.ndarray, values, what: str) -> np.ndarray:
+        """The kernels' per-row angle vector; a scalar fills every row."""
+        arr = _batch_angles(states, values, what)
         if arr.ndim == 0:
-            return np.full(rows, float(arr))
-        if not batched:
-            raise ValueError(f"per-row {what} require a batched (B, dim) state")
-        if arr.shape != (rows,):
-            raise ValueError(f"{what} shape {arr.shape} != batch ({rows},)")
+            return np.full(states.shape[0], float(arr))
         return np.ascontiguousarray(arr)
 
     @staticmethod
-    def _require_contiguous(work: np.ndarray) -> None:
-        if not work.flags.c_contiguous:
+    def _require_batch(states: np.ndarray) -> None:
+        if states.ndim != 2:
+            raise ValueError(f"expected a (B, dim) batch, got ndim={states.ndim}")
+        if not states.flags.c_contiguous:
             raise ValueError("states must be C-contiguous for compiled kernels")
 
     # -- protocol ---------------------------------------------------------
@@ -248,13 +243,12 @@ class CompiledBackend(StatevectorBackend):
         *,
         scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        work = self._as_batch(states)
-        self._require_contiguous(work)
-        if diagonal.shape != work.shape[-1:]:
+        self._require_batch(states)
+        if diagonal.shape != states.shape[-1:]:
             raise ValueError("diagonal length mismatch")
-        gam = self._row_params(gammas, work.shape[0], states.ndim == 2, "gammas")
+        gam = self._row_angles(states, gammas, "gammas")
         diag = np.ascontiguousarray(diagonal, dtype=np.float64)
-        self._kernels["cost"](work, diag, gam)
+        self._kernels["cost"](states, diag, gam)
         return states
 
     def apply_mixer_layer(
@@ -264,28 +258,24 @@ class CompiledBackend(StatevectorBackend):
         *,
         scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        work = self._as_batch(states)
-        self._require_contiguous(work)
-        bet = self._row_params(betas, work.shape[0], states.ndim == 2, "betas")
-        self._kernels["mixer"](work, bet, n_qubits_for_dim(work.shape[-1]))
+        self._require_batch(states)
+        bet = self._row_angles(states, betas, "betas")
+        self._kernels["mixer"](states, bet, n_qubits_for_dim(states.shape[-1]))
         return states
 
     def walsh_transform(
         self, states: np.ndarray, *, scratch: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        work = self._as_batch(states)
-        self._require_contiguous(work)
-        self._kernels["walsh"](work)
+        self._require_batch(states)
+        self._kernels["walsh"](states)
         return states
 
     def expectations_batch(
         self, states: np.ndarray, diagonal: np.ndarray
     ) -> np.ndarray:
-        if states.ndim != 2:
-            raise ValueError(f"expected a (B, dim) batch, got ndim={states.ndim}")
+        self._require_batch(states)
         if diagonal.shape != states.shape[-1:]:
             raise ValueError("diagonal length mismatch")
-        self._require_contiguous(states)
         out = np.empty(states.shape[0], dtype=np.float64)
         self._kernels["expect"](
             states, np.ascontiguousarray(diagonal, dtype=np.float64), out

@@ -37,8 +37,9 @@ scratch comes from the shared
 
 Parity: ≤1e-12 against :class:`NumpyBackend` for every shape
 (property-tested in ``tests/test_backends.py``); ≥1.3× on batched p≥2
-evolution at n=16 and ≥4× on pointwise p=3 evolution at n=18 (both
-gated in ``benchmarks/bench_backends.py``).
+evolution at n=16 and ≥4× over the seed single-state NumPy walk on
+pointwise p=3 evolution at n=18 (both gated in
+``benchmarks/bench_backends.py``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 from repro.quantum.backend.base import DEFAULT_CHUNK_SIZE
 from repro.quantum.backend.numpy_backend import NumpyBackend
 from repro.quantum.backend.scratch import ScratchPool, shared_pool
-from repro.quantum.statevector import n_qubits_for_dim
+from repro.quantum.statevector import _batch_angles, _scratch_like, n_qubits_for_dim
 from repro.util.tracing import current_trace
 
 # Stage widths: ~32×32 stage matrices are big enough that one blocked
@@ -257,9 +258,9 @@ class FusedBackend(NumpyBackend):
         at ~1e-15 — enough to break the chunk-width invariance the engine
         pins (``TestChunkPolicy``).  One-row *batches* (``γ`` of shape
         ``(1,)``) are therefore evaluated as a duplicated two-row GEMM,
-        keeping every batch width on the same kernel; a pointwise 0-d
-        ``γ`` has no batch to agree with and takes the cheaper vector
-        kernel.
+        keeping every batch width on the same kernel; a scalar ``γ`` (one
+        phase row shared by the batch, as ``evolve_state`` walks it) has
+        no batch to agree with and takes the cheaper vector kernel.
         """
         coeffs = self._residual_coeffs(gam)
         if gam.shape == (1,):
@@ -278,59 +279,32 @@ class FusedBackend(NumpyBackend):
         table = self._cost_table(diagonal)
         if table is None:
             return super().apply_cost_layer(states, diagonal, gammas, scratch=scratch)
-        gam = np.asarray(gammas, dtype=np.float64)
-        if states.ndim == 1:
-            if gam.ndim != 0:
-                raise ValueError("per-row gammas require a batched (B, dim) state")
-            if diagonal.shape != states.shape:
-                raise ValueError("diagonal length mismatch")
-        elif states.ndim != 2 or gam.shape != (states.shape[0],):
-            raise ValueError(
-                f"expected states (B, dim) and gammas (B,), got "
-                f"{states.shape} / {gam.shape}"
-            )
-        elif diagonal.shape != states.shape[-1:]:
+        gam = _batch_angles(states, gammas, "gammas")
+        if diagonal.shape != states.shape[-1:]:
             raise ValueError("diagonal length mismatch")
+        if (
+            table[0] == "bucket"
+            and float(np.abs(gam).max(initial=0.0)) * table[4] > COST_RESIDUAL_X_MAX
+        ):
+            # γ too large for the polynomial budget: dense exponential
+            # (same expression as NumpyBackend, bit-identical to it).
+            return super().apply_cost_layer(states, diagonal, gammas, scratch=scratch)
+        buf = _scratch_like(states, scratch)
+        # A scalar γ shares one phase row across the batch.
+        phases = buf if gam.ndim else buf[:1]
         if table[0] == "bucket":
-            _, reps, idx, rpow, rmax = table
-            xmax = float(np.abs(gam).max()) * rmax if gam.size else 0.0
-            if xmax > COST_RESIDUAL_X_MAX:
-                # γ too large for the polynomial budget: dense exponential
-                # (same expression as NumpyBackend, bit-identical to it).
-                return super().apply_cost_layer(
-                    states, diagonal, gammas, scratch=scratch
-                )
-            batched = states if states.ndim == 2 else states.reshape(1, -1)
-            if (
-                scratch is not None
-                and scratch.shape == states.shape
-                and scratch.dtype == states.dtype
-            ):
-                buf = scratch.reshape(batched.shape)
-            else:
-                buf = np.empty_like(batched)
+            _, reps, idx, rpow, _ = table
             # Residual rotation first (GEMM into the scratch), then the
             # coarse gathered phase reusing the same buffer.
-            self._residual_rotation(gam, rpow, buf)
-            batched *= buf
+            self._residual_rotation(gam, rpow, phases)
+            states *= phases
             coarse = np.exp(np.multiply.outer(-1j * gam.reshape(-1), reps))
-            np.take(coarse, idx, axis=1, out=buf)
-            batched *= buf
-            return states
-        _, values, inverse = table
-        if states.ndim == 1:
-            states *= np.take(np.exp(-1j * gam * values), inverse)
-            return states
-        phase = np.exp(np.multiply.outer(-1j * gam, values))
-        if (
-            scratch is not None
-            and scratch.shape == states.shape
-            and scratch.dtype == states.dtype
-        ):
-            np.take(phase, inverse, axis=1, out=scratch)
-            states *= scratch
+            np.take(coarse, idx, axis=1, out=phases)
         else:
-            states *= np.take(phase, inverse, axis=1)
+            _, values, inverse = table
+            phase = np.exp(np.multiply.outer(-1j * gam.reshape(-1), values))
+            np.take(phase, inverse, axis=1, out=phases)
+        states *= phases
         return states
 
     # -- chunk advice -----------------------------------------------------
@@ -364,38 +338,23 @@ class FusedBackend(NumpyBackend):
     ) -> np.ndarray:
         """Blocked-stage mixer; ``scale`` folds an extra scalar into the
         first stage matrix (no dedicated pass — see :meth:`evolve_batch`)."""
+        beta_arr = _batch_angles(states, betas, "betas")
         n = n_qubits_for_dim(states.shape[-1])
-        beta_arr = np.asarray(betas, dtype=np.float64)
-        if states.ndim == 1:
-            if beta_arr.ndim != 0:
-                raise ValueError("per-row betas require a batched (B, dim) state")
-        elif states.ndim == 2:
-            if beta_arr.ndim == 1 and beta_arr.shape != (states.shape[0],):
-                raise ValueError(
-                    f"betas shape {beta_arr.shape} != batch ({states.shape[0]},)"
-                )
-            if beta_arr.ndim > 1:
-                raise ValueError("betas must be scalar or a (B,) vector")
-        else:
-            raise ValueError(f"state must be 1-D or 2-D, got ndim={states.ndim}")
         if not states.flags.c_contiguous:
             raise ValueError("states must be C-contiguous for blocked stages")
-        work = states if states.ndim == 2 else states.reshape(1, -1)
-        if scratch is None or scratch.shape != states.shape or scratch.dtype != states.dtype:
-            scratch = np.empty_like(states)
-        swap = scratch.reshape(work.shape)
+        swap = _scratch_like(states, scratch)
 
-        batch = work.shape[0]
+        batch = states.shape[0]
         k, *highs = stage_widths(n)
         factor = 1.0 if scale is None else float(scale)
 
         # Low-k stage: realified GEMM on the interleaved re/im row view
         # (the qubits whose per-qubit passes stride worst).
         low = self._realify(self._stage_matrix(k, beta_arr, factor))
-        rv = work.view(np.float64).reshape(batch, -1, (1 << k) * 2)
+        rv = states.view(np.float64).reshape(batch, -1, (1 << k) * 2)
         sv = swap.view(np.float64).reshape(rv.shape)
         np.matmul(rv, low, out=sv)
-        src, dst = swap, work
+        src, dst = swap, states
 
         # Every higher qubit: one batched matmul per stage of m qubits
         # starting at qubit q, on the (B, 2^(n-q-m), 2^m, 2^q) view; the
@@ -408,8 +367,8 @@ class FusedBackend(NumpyBackend):
             src, dst = dst, src
             q += m
 
-        if src is not work:
-            work[...] = src
+        if src is not states:
+            states[...] = src
         return states
 
     # -- layer-fused batched evolution ------------------------------------
@@ -461,10 +420,7 @@ class FusedBackend(NumpyBackend):
             self.apply_mixer_layer(
                 states, mat[:, p], scratch=scratch, scale=1.0 / np.sqrt(dim)
             )
-            for layer in range(1, p):
-                self.apply_cost_layer(states, diagonal, mat[:, layer], scratch=scratch)
-                self.apply_mixer_layer(states, mat[:, p + layer], scratch=scratch)
-            return states
+            return self._walk_layers(states, diagonal, mat, scratch, first=1)
 
 
 __all__ = [

@@ -51,15 +51,6 @@ class NumpyBackend(StatevectorBackend):
         *,
         scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        if states.ndim == 1:
-            gamma = np.asarray(gammas, dtype=np.float64)
-            if gamma.ndim != 0:
-                raise ValueError("per-row gammas require a batched (B, dim) state")
-            if diagonal.shape != states.shape:
-                raise ValueError("diagonal length mismatch")
-            # Exactly the seed expression (MaxCutEnergy.statevector).
-            states *= np.exp(-1j * gamma * diagonal)
-            return states
         return apply_phases_batch(states, diagonal, gammas, scratch=scratch)
 
     def apply_mixer_layer(
@@ -69,8 +60,6 @@ class NumpyBackend(StatevectorBackend):
         *,
         scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        if states.ndim == 1:
-            return apply_rx_layer(states, betas)
         return apply_rx_layer(states, betas, scratch=scratch)
 
     def walsh_transform(

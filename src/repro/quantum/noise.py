@@ -101,12 +101,13 @@ def noisy_qaoa_statevector(
     gammas, betas = energy.split_params(params)
     state = plus_state(energy.n_qubits)
     for gamma, beta in zip(gammas, betas, strict=True):
-        state = backend.apply_cost_layer(state, energy.diagonal, gamma)
+        # The layer primitives take (B, dim) batches; walk a one-row view.
+        backend.apply_cost_layer(state[None], energy.diagonal, gamma)
         if noise.two_qubit is not None and noise.two_qubit.probability > 0:
             for a, b in zip(graph.u.tolist(), graph.v.tolist(), strict=True):
                 state = noise.two_qubit.apply(state, a, rng=gen)
                 state = noise.two_qubit.apply(state, b, rng=gen)
-        state = backend.apply_mixer_layer(state, beta)
+        backend.apply_mixer_layer(state[None], beta)
         if noise.one_qubit is not None and noise.one_qubit.probability > 0:
             for q in range(energy.n_qubits):
                 state = noise.one_qubit.apply(state, q, rng=gen)

@@ -21,6 +21,7 @@ from repro.quantum.pauli import IsingHamiltonian
 from repro.quantum.statevector import (
     apply_gate,
     apply_one_qubit,
+    n_qubits_for_dim,
     plus_state,
     probabilities,
     sample_counts,
@@ -42,7 +43,7 @@ class SimulationResult:
 
     @property
     def n_qubits(self) -> int:
-        return int(np.log2(len(self.state)))
+        return n_qubits_for_dim(len(self.state))
 
     def probabilities(self) -> np.ndarray:
         return probabilities(self.state)
@@ -149,14 +150,15 @@ def run_qaoa_reference(
     """
     from repro.quantum.backend import resolve_backend
 
-    n = int(np.log2(len(graph_diagonal)))
+    n = n_qubits_for_dim(len(graph_diagonal))
     # batch=1: a single-state layer walk — the auto policy keeps it off
     # row-parallel backends.
     evolve = resolve_backend(backend, n_qubits=n, batch=1, layers=len(gammas))
     state = plus_state(n)
     for gamma, beta in zip(gammas, betas, strict=True):
-        state = evolve.apply_cost_layer(state, graph_diagonal, gamma)
-        state = evolve.apply_mixer_layer(state, beta)
+        # The layer primitives take (B, dim) batches; walk a one-row view.
+        evolve.apply_cost_layer(state[None], graph_diagonal, gamma)
+        evolve.apply_mixer_layer(state[None], beta)
     return state
 
 

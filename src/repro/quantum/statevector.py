@@ -132,89 +132,81 @@ def apply_diagonal(state: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return state * diagonal
 
 
+def _batch_angles(states: np.ndarray, angles, what: str) -> np.ndarray:
+    """Validate a ``(B, dim)`` batch and its layer angles: a scalar shared
+    by every row, or a ``(B,)`` per-row vector."""
+    if states.ndim != 2:
+        raise ValueError(f"expected a (B, dim) batch, got ndim={states.ndim}")
+    arr = np.asarray(angles, dtype=np.float64)
+    if arr.ndim != 0 and arr.shape != (states.shape[0],):
+        raise ValueError(
+            f"{what} shape {arr.shape} != batch ({states.shape[0]},) or scalar"
+        )
+    return arr
+
+
+def _scratch_like(states: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    if scratch is None:
+        return np.empty_like(states)
+    if scratch.shape != states.shape or scratch.dtype != states.dtype:
+        raise ValueError("scratch buffer shape/dtype mismatch")
+    return scratch
+
+
 def apply_phases_batch(
     states: np.ndarray,
     diagonal: np.ndarray,
-    gammas: np.ndarray,
+    gammas,
     *,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """In place: ``states[b] *= exp(-1j * gammas[b] * diagonal)``.
 
-    The batched QAOA cost layer — one row per parameter vector, each with
-    its own γ.  ``scratch`` is an optional ``(B, 2**n)`` complex buffer for
-    the phase table so sweep loops avoid a fresh allocation per layer.
+    The QAOA cost layer on a ``(B, 2**n)`` batch.  ``gammas`` is a
+    ``(B,)`` per-row vector, or a scalar whose one phase row is shared by
+    every row.  ``scratch`` is an optional ``(B, 2**n)`` complex buffer
+    for the phase table so sweep loops avoid a fresh allocation per layer.
     """
-    gammas = np.asarray(gammas, dtype=np.float64)
-    if states.ndim != 2 or gammas.shape != (states.shape[0],):
-        raise ValueError(
-            f"expected states (B, dim) and gammas (B,), got "
-            f"{states.shape} / {gammas.shape}"
-        )
+    gammas = _batch_angles(states, gammas, "gammas")
     if diagonal.shape != states.shape[-1:]:
         raise ValueError("diagonal length mismatch")
-    if scratch is None:
-        scratch = np.empty_like(states)
-    elif scratch.shape != states.shape or scratch.dtype != states.dtype:
-        raise ValueError("scratch buffer shape/dtype mismatch")
-    np.multiply.outer(-1j * gammas, diagonal, out=scratch)
-    np.exp(scratch, out=scratch)
-    states *= scratch
+    scratch = _scratch_like(states, scratch)
+    phases = scratch if gammas.ndim else scratch[0]
+    np.multiply.outer(-1j * gammas, diagonal, out=phases)
+    np.exp(phases, out=phases)
+    states *= phases
     return states
 
 
 def apply_rx_layer(
-    state: np.ndarray, beta, *, scratch: np.ndarray | None = None
+    states: np.ndarray, betas, *, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """Apply ``RX(2β)`` on every qubit — the QAOA mixer ``exp(-iβ Σ X_i)``.
+    """In place: ``RX(2β)`` on every qubit — the QAOA mixer ``exp(-iβ Σ X_i)``.
 
-    Works in place via the axis kernel per qubit; cost is n passes over the
-    state, each fully vectorised.  ``state`` may be a single ``(2**n,)``
-    vector with scalar ``beta``, or a ``(B, 2**n)`` batch where ``beta`` is
-    a scalar or a ``(B,)`` vector of per-row mixer angles.  The batched
-    path runs three full-array ufunc passes per qubit against ``scratch``
-    (allocated on demand) instead of copying strided halves.
+    ``states`` is a ``(B, 2**n)`` batch; ``betas`` is a scalar shared by
+    every row or a ``(B,)`` vector of per-row mixer angles.  Each qubit
+    costs three full-array ufunc passes against ``scratch`` (allocated on
+    demand).
     """
-    n = n_qubits_for_dim(state.shape[-1])
-    beta_arr = np.asarray(beta, dtype=np.float64)
+    beta_arr = _batch_angles(states, betas, "betas")
+    n = n_qubits_for_dim(states.shape[-1])
     c = np.cos(beta_arr)
     s = -1j * np.sin(beta_arr)
-    if state.ndim == 1:
-        if beta_arr.ndim != 0:
-            raise ValueError("per-row betas require a batched (B, dim) state")
-        out = state
-        for q in range(n):
-            view = out.reshape(1 << (n - 1 - q), 2, 1 << q)
-            a = view[:, 0, :].copy()
-            b = view[:, 1, :]
-            view[:, 0, :] = c * a + s * b
-            view[:, 1, :] = s * a + c * b
-            out = view.reshape(-1)
-        return out
-    if state.ndim != 2:
-        raise ValueError(f"state must be 1-D or 2-D, got ndim={state.ndim}")
-    batch = state.shape[0]
-    if beta_arr.ndim == 1:
-        if beta_arr.shape != (batch,):
-            raise ValueError(
-                f"betas shape {beta_arr.shape} != batch ({batch},)"
-            )
+    if beta_arr.ndim:
         # Broadcast per-row coefficients over the (B, high, 2, low) view.
         c = c[:, None, None, None]
         s = s[:, None, None, None]
-    if scratch is None:
-        scratch = np.empty_like(state)
-    elif scratch.shape != state.shape or scratch.dtype != state.dtype:
-        raise ValueError("scratch buffer shape/dtype mismatch")
+    scratch = _scratch_like(states, scratch)
+    batch = states.shape[0]
     for q in range(n):
-        view = state.reshape(batch, 1 << (n - 1 - q), 2, 1 << q)
+        view = states.reshape(batch, 1 << (n - 1 - q), 2, 1 << q)
         tview = scratch.reshape(view.shape)
         # a' = c·a + s·b, b' = s·a + c·b via one reversed-axis read:
         # tmp = s·swap(view); view = c·view + tmp.
         np.multiply(view[:, :, ::-1, :], s, out=tview)
         np.multiply(view, c, out=view)
         view += tview
-    return state
+    return states
 
 
 def walsh_hadamard_batch(
@@ -233,11 +225,7 @@ def walsh_hadamard_batch(
     n = n_qubits_for_dim(states.shape[-1])
     if not states.flags.c_contiguous:
         raise ValueError("states must be C-contiguous for in-place butterflies")
-    if scratch is None:
-        scratch = np.empty_like(states)
-    elif scratch.shape != states.shape or scratch.dtype != states.dtype:
-        raise ValueError("scratch buffer shape/dtype mismatch")
-    src, dst = states, scratch
+    src, dst = states, _scratch_like(states, scratch)
     for q in range(n):
         view = src.reshape(-1, 2, 1 << q)
         out = dst.reshape(view.shape)

@@ -44,6 +44,12 @@ def write_module(tmp_path: Path, name: str, text: str) -> Path:
     return path
 
 
+@pytest.fixture(scope="module")
+def src_report():
+    """One analyzer run over ``src/repro``, shared by the read-only tests."""
+    return analyze_paths([SRC])
+
+
 def findings_for(path: Path, rule: str | None = None):
     report = analyze_paths([path])
     if rule is None:
@@ -178,9 +184,8 @@ class TestImportGraph:
         )
         assert graph.cycles() == [["repro.a", "repro.b"]]
 
-    def test_real_tree_has_no_toplevel_cycles(self):
-        report = analyze_paths([SRC])
-        graph = ImportGraph.from_files(report.files)
+    def test_real_tree_has_no_toplevel_cycles(self, src_report):
+        graph = ImportGraph.from_files(src_report.files)
         assert graph.cycles() == []
 
 
@@ -318,16 +323,14 @@ class TestMutations:
 # The repo gate (CI acceptance criterion)
 # ----------------------------------------------------------------------
 class TestRepoGate:
-    def test_src_repro_is_clean(self):
-        report = analyze_paths([SRC])
-        assert report.findings == [], "\n".join(
-            f.format() for f in report.findings
+    def test_src_repro_is_clean(self, src_report):
+        assert src_report.findings == [], "\n".join(
+            f.format() for f in src_report.findings
         )
-        assert len(report.files) > 80
+        assert len(src_report.files) > 80
 
-    def test_every_suppression_in_tree_is_justified(self):
-        report = analyze_paths([SRC])
-        for file in report.files:
+    def test_every_suppression_in_tree_is_justified(self, src_report):
+        for file in src_report.files:
             for directive in file.directives:
                 if directive.verb in ("disable", "disable-file"):
                     assert directive.justification, (

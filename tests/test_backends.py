@@ -248,13 +248,34 @@ class TestCrossBackendParity:
             states = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
             with pytest.raises(ValueError, match="batch"):
                 backend.apply_mixer_layer(states.copy(), np.zeros(4))
-            with pytest.raises(ValueError, match="batched"):
-                backend.apply_mixer_layer(
-                    np.zeros(32, dtype=np.complex128), np.zeros(3)
+            # Layer primitives take (B, dim) batches only.
+            with pytest.raises(ValueError, match="ndim=1"):
+                backend.apply_mixer_layer(np.zeros(32, dtype=np.complex128), 0.41)
+            with pytest.raises(ValueError, match="ndim=1"):
+                backend.apply_cost_layer(
+                    np.zeros(32, dtype=np.complex128), np.zeros(32), 0.41
                 )
             # scalar β broadcast over rows == per-row duplicate βs
             shared = backend.apply_mixer_layer(states.copy(), 0.41)
             perrow = backend.apply_mixer_layer(states.copy(), np.full(3, 0.41))
+            np.testing.assert_allclose(shared, perrow, atol=PARITY_ATOL)
+        # scalar γ broadcast over rows == per-row duplicate γs, on numpy and
+        # on both fused cost tables (exact gather and weighted bucketing).
+        n = 10
+        for backend, weighted, kind in (
+            (NumpyBackend(), True, None),
+            (FusedBackend(), False, "exact"),
+            (FusedBackend(), True, "bucket"),
+        ):
+            diag = cut_diagonal(erdos_renyi(n, 0.5, weighted=weighted, rng=4))
+            if kind is not None:
+                assert backend._cost_table(diag)[0] == kind
+            rng = np.random.default_rng(1)
+            states = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal(
+                (3, 1 << n)
+            )
+            shared = backend.apply_cost_layer(states.copy(), diag, 0.41)
+            perrow = backend.apply_cost_layer(states.copy(), diag, np.full(3, 0.41))
             np.testing.assert_allclose(shared, perrow, atol=PARITY_ATOL)
 
     def test_evolve_batch_uses_pool_buffer(self):
@@ -290,6 +311,21 @@ class TestGoldenEvolvePaths:
                 energy.statevector(params),
                 _golden_statevector(energy.diagonal, params),
             )
+
+    def test_pointwise_matches_one_row_batch_on_numpy(self):
+        # evolve_state walks a one-row batch with scalar angles; on the
+        # numpy reference that is bit-identical to a (1, 2p) evolve_batch.
+        backend = NumpyBackend()
+        rng = np.random.default_rng(77)
+        for n in range(1, 15):
+            for weighted in (False, True):
+                graph = erdos_renyi(n, 0.5, weighted=weighted, rng=n)
+                diag = cut_diagonal(graph)
+                params = rng.uniform(-np.pi, np.pi, 2 * int(rng.integers(1, 4)))
+                np.testing.assert_array_equal(
+                    backend.evolve_state(diag, params),
+                    backend.evolve_batch(diag, params[None])[0],
+                )
 
     def test_run_qaoa_reference_bit_identical(self):
         for graph, params in self.CASES[:5]:

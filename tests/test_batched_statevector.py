@@ -76,8 +76,8 @@ class TestKernels:
             betas = rng.uniform(-np.pi, np.pi, size=6)
             batched = BACKEND.apply_mixer_layer(states.copy(), betas)
             for row, (state, beta) in enumerate(zip(states, betas, strict=True)):
-                single = BACKEND.apply_mixer_layer(state.copy(), beta)
-                np.testing.assert_allclose(batched[row], single, atol=ATOL)
+                single = BACKEND.apply_mixer_layer(state[None].copy(), beta)
+                np.testing.assert_allclose(batched[row], single[0], atol=ATOL)
 
     def test_rx_layer_batched_scalar_beta(self):
         rng = np.random.default_rng(8)
@@ -85,15 +85,17 @@ class TestKernels:
         batched = BACKEND.apply_mixer_layer(states.copy(), 0.37)
         for row, state in enumerate(states):
             np.testing.assert_allclose(
-                batched[row], BACKEND.apply_mixer_layer(state.copy(), 0.37), atol=ATOL
+                batched[row],
+                BACKEND.apply_mixer_layer(state[None].copy(), 0.37)[0],
+                atol=ATOL,
             )
 
     def test_rx_layer_beta_shape_mismatch(self):
         states = np.zeros((3, 8), dtype=np.complex128)
         with pytest.raises(ValueError, match="batch"):
             BACKEND.apply_mixer_layer(states, np.zeros(4))
-        with pytest.raises(ValueError, match="batched"):
-            BACKEND.apply_mixer_layer(np.zeros(8, dtype=np.complex128), np.zeros(2))
+        with pytest.raises(ValueError, match="ndim=1"):
+            BACKEND.apply_mixer_layer(np.zeros(8, dtype=np.complex128), 0.37)
 
     def test_apply_phases_batch_matches_single(self):
         rng = np.random.default_rng(9)

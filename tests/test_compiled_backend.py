@@ -150,8 +150,11 @@ class TestValidation:
         diag = np.zeros(32)
         with pytest.raises(ValueError, match="batch"):
             backend.apply_cost_layer(states.copy(), diag, np.zeros(4))
-        with pytest.raises(ValueError, match="batched"):
-            backend.apply_cost_layer(np.zeros(32, dtype=np.complex128), diag, np.zeros(3))
+        # Layer primitives take (B, dim) batches only.
+        with pytest.raises(ValueError, match="ndim=1"):
+            backend.apply_cost_layer(np.zeros(32, dtype=np.complex128), diag, 0.1)
+        with pytest.raises(ValueError, match="ndim=1"):
+            backend.apply_mixer_layer(np.zeros(32, dtype=np.complex128), 0.1)
         with pytest.raises(ValueError, match="diagonal"):
             backend.apply_cost_layer(states.copy(), np.zeros(16), np.zeros(3))
         with pytest.raises(ValueError, match="ndim"):

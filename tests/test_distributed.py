@@ -109,8 +109,8 @@ class TestCorrectness:
         d.apply_diagonal_fn(lambda idx: np.exp(-1j * gamma * diag[idx]))
         d.apply_rx_layer(beta)
         expected = plus_state(6) * np.exp(-1j * gamma * diag)
-        expected = NumpyBackend().apply_mixer_layer(expected, beta)
-        assert np.allclose(d.gather(), expected, atol=1e-10)
+        expected = NumpyBackend().apply_mixer_layer(expected[None], beta)
+        assert np.allclose(d.gather(), expected[0], atol=1e-10)
 
     def test_single_rank_degenerate(self, strategy):
         d = DistributedStatevector(4, 1, strategy=strategy)

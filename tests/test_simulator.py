@@ -7,6 +7,7 @@ from repro.graphs import cut_diagonal, erdos_renyi
 from repro.quantum import (
     Circuit,
     IsingHamiltonian,
+    SimulationResult,
     StatevectorSimulator,
     run_qaoa_reference,
 )
@@ -140,3 +141,12 @@ class TestQAOAReference:
         diag = cut_diagonal(erdos_renyi(4, 0.5, rng=1))
         state = run_qaoa_reference(diag, np.zeros(2), np.zeros(2))
         assert np.allclose(state, plus_state(4))
+
+    @pytest.mark.parametrize("length", [12, 0])
+    def test_reference_rejects_non_power_of_two_diagonal(self, length):
+        # int(log2(len)) used to truncate 12 to a 3-qubit |+⟩ state and
+        # overflow on an empty diagonal.
+        with pytest.raises(ValueError, match="not a power of 2"):
+            run_qaoa_reference(np.zeros(length), [], [])
+        with pytest.raises(ValueError, match="not a power of 2"):
+            SimulationResult(np.zeros(length, dtype=np.complex128)).n_qubits

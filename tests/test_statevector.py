@@ -95,7 +95,7 @@ class TestApplyGate:
             with pytest.raises(ValueError, match="power of 2"):
                 apply_one_qubit(state, X, 0)
             with pytest.raises(ValueError, match="power of 2"):
-                NumpyBackend().apply_mixer_layer(state, 0.3)
+                NumpyBackend().apply_mixer_layer(state[None], 0.3)
 
     def test_empty_state_rejected(self):
         with pytest.raises(ValueError, match="power of 2"):
@@ -139,17 +139,19 @@ class TestDiagonalAndMixer:
         expected = state.copy()
         for q in range(3):
             expected = apply_gate(expected, rx(2 * beta), [q])
-        assert np.allclose(NumpyBackend().apply_mixer_layer(state.copy(), beta), expected)
+        out = NumpyBackend().apply_mixer_layer(state[None].copy(), beta)
+        assert np.allclose(out[0], expected)
 
     def test_rx_layer_beta_zero_identity(self):
         state = plus_state(3)
-        assert np.allclose(NumpyBackend().apply_mixer_layer(state.copy(), 0.0), state)
+        out = NumpyBackend().apply_mixer_layer(state[None].copy(), 0.0)
+        assert np.allclose(out[0], state)
 
     def test_plus_state_invariant_under_mixer(self):
         # |+>^n is the X-mixer ground state: only a global phase applies.
         state = plus_state(4)
-        out = NumpyBackend().apply_mixer_layer(state.copy(), 0.8)
-        assert fidelity(out, state) == pytest.approx(1.0, abs=1e-10)
+        out = NumpyBackend().apply_mixer_layer(state[None].copy(), 0.8)
+        assert fidelity(out[0], state) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMeasurement:
