@@ -23,6 +23,9 @@ Acceptance bars, enforced on every ``--quick`` run:
   gather closes the old ~1.28× weighted gap), parity ≤1e-12;
 * compiled ≥1.5× over numpy at n=16 when numba is present (ISSUE 10),
   parity ≤1e-12; skipped (never failed) without numba;
+* fused ≥1.6× on the ``spsa-batch`` shape — batched p=2 energies of
+  16 rows (8 SPSA starts, x± each) with angles in ±π/4 on weighted
+  ER(16, 0.3) — parity ≤1e-12;
 * fused ≥4× on the pointwise ``qaoa-deep`` shape — ``evolve_state`` on
   weighted ER(18, 0.3) at p=3 from the solver's ramp start — where the
   mixer's blocked stages carry every qubit, parity ≤1e-12.  The
@@ -70,10 +73,12 @@ MAX_DEV = 1e-12
 SKIPPED = "skipped"
 
 
-def _instance(n_qubits: int, weighted: bool = False):
+def _instance(
+    n_qubits: int, weighted: bool = False, batch: int = BATCH, angle: float = np.pi
+):
     graph = erdos_renyi(n_qubits, EDGE_PROB, weighted=weighted, rng=GRAPH_SEED)
     params = np.random.default_rng(PARAM_SEED).uniform(
-        -np.pi, np.pi, size=(BATCH, 2 * LAYERS)
+        -angle, angle, size=(batch, 2 * LAYERS)
     )
     return graph, params
 
@@ -116,8 +121,8 @@ def _best_of(fn, repeats: int = 3) -> float:
     return min(times)
 
 
-def _measure(n_qubits: int, weighted: bool) -> dict:
-    graph, params = _instance(n_qubits, weighted=weighted)
+def _measure(n_qubits: int, weighted: bool, **shape) -> dict:
+    graph, params = _instance(n_qubits, weighted=weighted, **shape)
     names = ["numpy", "fused"] + (["compiled"] if numba_available() else [])
     engines = {name: SweepEngine(graph, backend=name) for name in names}
     seconds = {
@@ -128,7 +133,7 @@ def _measure(n_qubits: int, weighted: bool) -> dict:
     run = {
         "n_qubits": n_qubits,
         "weighted": weighted,
-        "batch": BATCH,
+        "batch": len(params),
         "layers": LAYERS,
         "numpy_s": seconds["numpy"],
         "fused_s": seconds["fused"],
@@ -221,6 +226,10 @@ def quick_report() -> dict:
         "numba_available": numba_available(),
         "runs": runs,
         "pointwise": _measure_pointwise(),
+        # The perfbench spsa-batch shape: one lock-step round of 8 SPSA
+        # starts (16 x± rows) at p=2 on weighted ER(16, 0.3), with angles
+        # drawn like the solver's random starts (uniform in ±π/4).
+        "spsa_batch": _measure(GATE_QUBITS, weighted=True, batch=16, angle=np.pi / 4),
     }
 
 
@@ -275,6 +284,14 @@ def main() -> None:
         f"pointwise fused only {pointwise['speedup']:.2f}x over the seed numpy "
         f"walk at n={POINTWISE_QUBITS}, p={POINTWISE_LAYERS} "
         f"(need >= {MIN_POINTWISE_SPEEDUP}x)"
+    )
+    spsa = report["spsa_batch"]
+    assert spsa["max_abs_dev"] <= MAX_DEV, (
+        f"spsa-batch fused energies deviate from numpy by {spsa['max_abs_dev']:.2e}"
+    )
+    assert spsa["speedup"] >= MIN_WEIGHTED_SPEEDUP, (
+        f"spsa-batch fused only {spsa['speedup']:.2f}x over numpy at "
+        f"n={GATE_QUBITS}, B={spsa['batch']} (need >= {MIN_WEIGHTED_SPEEDUP}x)"
     )
     if gate["compiled_speedup"] != SKIPPED:
         assert gate["compiled_speedup"] >= MIN_COMPILED_SPEEDUP, (

@@ -160,6 +160,8 @@ class QAOASolver:
     max_qubits: int = 26
 
     def solve(self, graph: Graph) -> QAOAResult:
+        if self.top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if graph.n_nodes > self.max_qubits:
             raise ValueError(
                 f"graph has {graph.n_nodes} nodes > max_qubits={self.max_qubits}; "

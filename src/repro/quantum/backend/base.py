@@ -80,8 +80,8 @@ class StatevectorBackend(ABC):
     layer primitives; the composed :meth:`evolve_batch`/:meth:`evolve_state`
     loops are provided here so a backend that only accelerates a primitive
     inherits correct composition, while backends that can fuse across
-    layers (see :class:`repro.quantum.backend.fused.FusedBackend`)
-    override them.
+    layers override the walk both share, :meth:`_evolve_plus` (see
+    :class:`repro.quantum.backend.fused.FusedBackend`).
     """
 
     name: str = "abstract"
@@ -181,45 +181,51 @@ class StatevectorBackend(ABC):
         with current_trace().span(
             "backend-evolve", backend=self.name, rows=m, layers=p
         ):
-            states = self.plus_state_batch(n, m, out=pool.take("states", (m, dim)))
-            return self._walk_layers(
-                states, diagonal, mat, pool.take("phases", (m, dim))
-            )
+            states = pool.take("states", (m, dim))
+            scratch = pool.take("phases", (m, dim))
+            return self._evolve_plus(states, diagonal, mat, scratch)
 
     def evolve_state(self, diagonal: np.ndarray, params: np.ndarray) -> np.ndarray:
         """|ψ_p(γ, β)⟩ for one packed parameter vector (fresh array).
 
         Walks a one-row batch with *scalar* angles: the angle's shape, not
         the state's, marks a lone state (fused's cost layer keys its
-        cheaper one-row kernel on it).  No scratch is passed, so each
-        primitive allocates its own after any per-diagonal table build:
-        a buffer held across the call (pooled or per call) sits under
+        cheaper one-row kernel on it).  No scratch is passed, so work
+        buffers are allocated after any per-diagonal table build: a
+        buffer held across the call (pooled or per call) sits under
         fused's first-call cost-table build and raised ``qaoa-deep``'s
-        peak RSS by ~4 MiB.
+        peak RSS by ~4 MiB.  Opens the same ``backend-evolve`` span as
+        :meth:`evolve_batch`, with ``rows=1``.
         """
         params = np.asarray(params, dtype=np.float64)
         if params.ndim != 1 or len(params) % 2 != 0:
             raise ValueError("parameter vector must have even length (γs then βs)")
-        states = self.plus_state_batch(n_qubits_for_dim(len(diagonal)), 1)
-        return self._walk_layers(states, diagonal, params, None)[0]
+        dim = 1 << n_qubits_for_dim(len(diagonal))
+        with current_trace().span(
+            "backend-evolve", backend=self.name, rows=1, layers=len(params) // 2
+        ):
+            states = np.empty((1, dim), dtype=np.complex128)
+            return self._evolve_plus(states, diagonal, params, None)[0]
 
-    def _walk_layers(
+    def _evolve_plus(
         self,
         states: np.ndarray,
         diagonal: np.ndarray,
         params: np.ndarray,
         scratch: Optional[np.ndarray],
-        first: int = 0,
     ) -> np.ndarray:
-        """Cost→mixer layers ``first..p-1`` in place on a ``(B, dim)`` batch.
+        """Overwrite a ``(B, dim)`` batch with |+⟩^n evolved under p
+        cost→mixer layers: the one walk both evolve entry points share.
 
         ``params`` is a ``(B, 2p)`` matrix (per-row ``(B,)`` angle columns)
         or one ``(2p,)`` vector (scalar angles shared by every row).
         ``scratch`` is shared by every primitive call, or ``None`` for
         each to allocate its own.
         """
+        n = n_qubits_for_dim(states.shape[-1])
+        self.plus_state_batch(n, states.shape[0], out=states)
         p = params.shape[-1] // 2
-        for layer in range(first, p):
+        for layer in range(p):
             self.apply_cost_layer(states, diagonal, params[..., layer], scratch=scratch)
             # The phase scratch doubles as the mixer's ping-pong buffer.
             self.apply_mixer_layer(states, params[..., p + layer], scratch=scratch)

@@ -26,9 +26,20 @@ near-equal stages (:func:`stage_widths`: n=18 → 5 | 5, 4, 4), each a
 batched matmul on the ``(B, 2^(n−q−m), 2^m, 2^q)`` view of its ``m``
 qubits starting at ``q``, ping-ponging with one scratch buffer.
 
+Bit-flip symmetry: a MaxCut cost diagonal satisfies ``d[z] == d[~z]``
+and the mixer commutes with flipping every bit, so the evolved state
+keeps ``ψ(z) = ψ(~z)``.  For such diagonals (checked once per diagonal,
+cached with its cost table) both evolve entry points walk only the
+top-qubit-0 half ``φ`` — ``dim/2`` amplitudes, stored in the first half
+of the caller's own buffers: the cost tables are built on ``d[:dim/2]``,
+the blocked stages cover the low n−1 qubits, and the top qubit's RX is
+one elementwise pass, ``φ ← cos β·φ − i sin β·φ[::-1]`` (X on the top
+qubit reverses the half).  The result unfolds as ``ψ = [φ, φ[::-1]]``.
+Any other diagonal takes the same walk over every amplitude.
+
 Elementwise fusion: the ``1/2^s`` transform normalisations, the caller's
-optional ``scale`` factor (used by :meth:`evolve_batch` to absorb the
-|+⟩^n amplitude adjacent to the first cost diagonal), all fold into the
+optional ``scale`` factor (used by the evolve walk to absorb the |+⟩^n
+amplitude adjacent to the first cost diagonal), all fold into the
 tiny stage matrices — none costs a pass over the state.  Hadamard,
 popcount and ΣZ-eigenvalue tables are cached per stage size on the
 backend instance (a registry singleton, so process-wide); full-size
@@ -37,9 +48,9 @@ scratch comes from the shared
 
 Parity: ≤1e-12 against :class:`NumpyBackend` for every shape
 (property-tested in ``tests/test_backends.py``); ≥1.3× on batched p≥2
-evolution at n=16 and ≥4× over the seed single-state NumPy walk on
-pointwise p=3 evolution at n=18 (both gated in
-``benchmarks/bench_backends.py``).
+evolution at n=16, ≥1.6× on the weighted n=16 ``spsa-batch`` shape and
+≥4× over the seed single-state NumPy walk on pointwise p=3 evolution at
+n=18 (all gated in ``benchmarks/bench_backends.py``).
 """
 
 from __future__ import annotations
@@ -51,9 +62,7 @@ import numpy as np
 
 from repro.quantum.backend.base import DEFAULT_CHUNK_SIZE
 from repro.quantum.backend.numpy_backend import NumpyBackend
-from repro.quantum.backend.scratch import ScratchPool, shared_pool
 from repro.quantum.statevector import _batch_angles, _scratch_like, n_qubits_for_dim
-from repro.util.tracing import current_trace
 
 # Stage widths: ~32×32 stage matrices are big enough that one blocked
 # pass replaces five strided per-qubit passes, small enough that building
@@ -164,8 +173,17 @@ class FusedBackend(NumpyBackend):
         return out
 
     # -- quantised cost layer --------------------------------------------
-    def _cost_table(self, diagonal: np.ndarray) -> Optional[Tuple]:
-        """The diagonal's gather decomposition, cached per array identity.
+    def _cost_table(self, diagonal: np.ndarray) -> Tuple[bool, Optional[Tuple]]:
+        """``(half, table)`` for a diagonal, cached per array identity.
+
+        ``half`` — the diagonal is bit-flip symmetric, ``d[z] == d[~z]``
+        exactly (every cut diagonal is), checked once with one
+        ``array_equal`` pass.  The table then describes only the half
+        ``d[:dim//2]`` (top qubit 0), which is all the half walk of
+        :meth:`_evolve_plus` reads; the path choice below still keys on
+        the full ``dim``, so it is the same for either half.
+
+        ``table`` is the gather decomposition of that (half) diagonal:
 
         ``("exact", values, inverse)`` — few distinct values (unweighted
         graphs): ``values[inverse]`` reproduces the diagonal *exactly*,
@@ -190,16 +208,18 @@ class FusedBackend(NumpyBackend):
         try:
             ref = weakref.ref(diagonal, lambda _, k=key: self._cost_cache.pop(k, None))
         except TypeError:  # non-weakref-able duck array
-            return None
+            return False, None
         dim = diagonal.size
-        values, inverse = np.unique(diagonal, return_inverse=True)
+        lower = diagonal[: dim // 2]
+        half = dim >= 2 and bool(np.array_equal(lower, diagonal[::-1][: dim // 2]))
+        values, inverse = np.unique(lower if half else diagonal, return_inverse=True)
         inverse = np.ascontiguousarray(inverse.reshape(-1), dtype=np.intp)
         if len(values) <= min(COST_GATHER_MAX_VALUES, dim // 4):
             desc: Optional[Tuple] = ("exact", values, inverse)
         else:
             desc = self._bucket_table(values, inverse, dim)
-        self._cost_cache[key] = (ref, desc)
-        return desc
+        self._cost_cache[key] = (ref, (half, desc))
+        return half, desc
 
     @staticmethod
     def _bucket_table(
@@ -207,7 +227,8 @@ class FusedBackend(NumpyBackend):
     ) -> Optional[Tuple]:
         """Uniform-level bucketing of a value-rich diagonal, or ``None``
         when the residual pass would not pay (small state, degenerate
-        range, or too many levels relative to the dimension)."""
+        range, or too many levels relative to the full dimension ``dim``;
+        ``inverse`` covers the half a symmetric diagonal is stored as)."""
         levels = min(COST_GATHER_MAX_VALUES, dim // 4)
         lo, hi = float(values[0]), float(values[-1])
         if (
@@ -226,9 +247,10 @@ class FusedBackend(NumpyBackend):
         rmax = float(np.abs(resid_per_value).max())
         # Residual-power table for the Taylor GEMM: rpow[k] = residual**k,
         # stored complex so the per-call matmul is a plain zgemm with no
-        # upcast copy.  (ORDER+1)·dim·16 bytes — 8 MiB at n=16, cached for
-        # the diagonal's lifetime via the weak reference above.
-        powers = np.empty((COST_RESIDUAL_ORDER + 1, dim), dtype=np.float64)
+        # upcast copy.  (ORDER+1)·16 bytes per stored entry — 16 MiB for the
+        # half of a symmetric n=18 diagonal — cached for the diagonal's
+        # lifetime via the weak reference above.
+        powers = np.empty((COST_RESIDUAL_ORDER + 1, residual.size), dtype=np.float64)
         powers[0] = 1.0
         for k in range(1, COST_RESIDUAL_ORDER + 1):
             np.multiply(powers[k - 1], residual, out=powers[k])
@@ -268,6 +290,55 @@ class FusedBackend(NumpyBackend):
             return out
         return np.matmul(coeffs, rpow, out=out)
 
+    def _apply_cost(
+        self,
+        table: Optional[Tuple],
+        diagonal: np.ndarray,
+        gam: np.ndarray,
+        states: np.ndarray,
+        buf: np.ndarray,
+        *,
+        fresh: bool = False,
+    ) -> np.ndarray:
+        """In place on a ``(B, w)`` block: ``states *= exp(-iγ·diagonal)``,
+        or with ``fresh`` ``states = exp(-iγ·diagonal)`` (no read of the
+        old contents).  ``table`` is ``diagonal``'s gather table (``None``:
+        dense), ``buf`` a same-shape phase scratch.  A scalar γ shares one
+        phase row across the batch (``fresh`` then needs one row)."""
+        g = -1j * gam.reshape(-1)
+        phases = buf if gam.ndim else buf[:1]
+        kind = None if table is None else table[0]
+        if kind == "bucket" and float(np.abs(gam).max(initial=0.0)) * table[4] > (
+            COST_RESIDUAL_X_MAX
+        ):
+            # γ too large for the polynomial budget: dense exponential
+            # (same expression as NumpyBackend, bit-identical to it).
+            kind = None
+        if kind == "bucket":
+            _, reps, idx, rpow, _ = table
+            # Residual rotation first (GEMM into the scratch), then the
+            # coarse gathered phase — into the state when it is fresh,
+            # else reusing the scratch once the residual is applied.
+            self._residual_rotation(gam, rpow, phases)
+            coarse = np.exp(np.multiply.outer(g, reps))
+            if fresh:
+                np.take(coarse, idx, axis=1, out=states)
+            else:
+                states *= phases
+                np.take(coarse, idx, axis=1, out=phases)
+            states *= phases
+            return states
+        out = states if fresh else phases
+        if kind == "exact":
+            _, values, inverse = table
+            np.take(np.exp(np.multiply.outer(g, values)), inverse, axis=1, out=out)
+        else:
+            np.multiply.outer(g, diagonal, out=out)
+            np.exp(out, out=out)
+        if not fresh:
+            states *= phases
+        return states
+
     def apply_cost_layer(
         self,
         states: np.ndarray,
@@ -276,35 +347,24 @@ class FusedBackend(NumpyBackend):
         *,
         scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        table = self._cost_table(diagonal)
+        half, table = self._cost_table(diagonal)
         if table is None:
             return super().apply_cost_layer(states, diagonal, gammas, scratch=scratch)
         gam = _batch_angles(states, gammas, "gammas")
         if diagonal.shape != states.shape[-1:]:
             raise ValueError("diagonal length mismatch")
-        if (
-            table[0] == "bucket"
-            and float(np.abs(gam).max(initial=0.0)) * table[4] > COST_RESIDUAL_X_MAX
-        ):
-            # γ too large for the polynomial budget: dense exponential
-            # (same expression as NumpyBackend, bit-identical to it).
-            return super().apply_cost_layer(states, diagonal, gammas, scratch=scratch)
         buf = _scratch_like(states, scratch)
-        # A scalar γ shares one phase row across the batch.
-        phases = buf if gam.ndim else buf[:1]
-        if table[0] == "bucket":
-            _, reps, idx, rpow, _ = table
-            # Residual rotation first (GEMM into the scratch), then the
-            # coarse gathered phase reusing the same buffer.
-            self._residual_rotation(gam, rpow, phases)
-            states *= phases
-            coarse = np.exp(np.multiply.outer(-1j * gam.reshape(-1), reps))
-            np.take(coarse, idx, axis=1, out=phases)
-        else:
-            _, values, inverse = table
-            phase = np.exp(np.multiply.outer(-1j * gam.reshape(-1), values))
-            np.take(phase, inverse, axis=1, out=phases)
-        states *= phases
+        if not half:
+            return self._apply_cost(table, diagonal, gam, states, buf)
+        # A symmetric diagonal's table covers the low half; the phases of
+        # the high half are the same row reversed (d[z] == d[~z]).
+        rows, width = (states.shape[0] if gam.ndim else 1), states.shape[-1] // 2
+        flat = buf.reshape(-1)
+        phases = flat[: rows * width].reshape(rows, width)
+        spare = flat[rows * width : 2 * rows * width].reshape(rows, width)
+        self._apply_cost(table, diagonal[:width], gam, phases, spare, fresh=True)
+        states[:, :width] *= phases
+        states[:, width:] *= phases[:, ::-1]
         return states
 
     # -- chunk advice -----------------------------------------------------
@@ -371,56 +431,72 @@ class FusedBackend(NumpyBackend):
             states[...] = src
         return states
 
-    # -- layer-fused batched evolution ------------------------------------
-    def evolve_batch(
-        self,
-        diagonal: np.ndarray,
-        params_matrix: np.ndarray,
-        *,
-        pool: Optional[ScratchPool] = None,
-    ) -> np.ndarray:
-        """Batched evolution with the adjacent state-prep/cost fusion.
+    # -- the symmetric half walk -----------------------------------------
+    # The shared body, bound in this class's own namespace so tools that
+    # wrap ``evolve_batch`` per class (``perfbench``'s tracer) find it
+    # without wrapping the base twice; the work is :meth:`_evolve_plus`.
+    evolve_batch = NumpyBackend.evolve_batch
 
-        |+⟩^n is uniform, so ``ψ_0 = exp(-iγ_1 D)|+⟩`` is the first cost
-        exponential written straight into the state buffer — no fill
-        pass — with the ``1/√dim`` amplitude folded into the first
-        mixer's low stage matrix via ``scale`` (no normalisation pass
-        either).  Later layers run the cost-phase multiply plus the
-        blocked mixer, sharing one pooled scratch.
+    def _evolve_plus(
+        self,
+        states: np.ndarray,
+        diagonal: np.ndarray,
+        params: np.ndarray,
+        scratch: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """The p-layer walk from |+⟩^n, on half the amplitudes when the
+        diagonal is bit-flip symmetric.
+
+        Cost and mixer both commute with flipping every bit, so then
+        ``ψ(z) = ψ(~z)`` throughout and the walk runs on ``φ``, the
+        ``(B, dim/2)`` top-qubit-0 half, stored in the first half of
+        ``states``' own storage (``scratch`` likewise).  The blocked mixer
+        stages cover the low n−1 qubits; the top qubit's RX maps ``φ(z)``
+        to ``cos β·φ(z) − i sin β·φ(~z)``, and ``~z`` on the half is the
+        reversed row.  The result unfolds as ``ψ = [φ, φ[::-1]]``, so
+        unfolded states have exact twins.  A non-symmetric diagonal walks
+        all of ``states``.
+
+        Adjacent-layer fusion either way: |+⟩^n is uniform, so the first
+        cost exponential is written straight into the state (no fill
+        pass) and the ``1/√dim`` amplitude folds into the first mixer's
+        low stage matrix via ``scale`` (no normalisation pass either).
         """
-        mat = self._params_matrix(params_matrix)
-        n = n_qubits_for_dim(len(diagonal))
-        m, p = mat.shape[0], mat.shape[1] // 2
-        dim = 1 << n
-        pool = pool if pool is not None else shared_pool()
-        with current_trace().span(
-            "backend-evolve", backend=self.name, rows=m, layers=p
-        ):
-            states = pool.take("states", (m, dim))
-            scratch = pool.take("phases", (m, dim))
-            table = self._cost_table(diagonal)
-            gam0 = mat[:, 0]
-            if table is not None and table[0] == "bucket":
-                _, reps, idx, rpow, rmax = table
-                xmax = float(np.abs(gam0).max()) * rmax if gam0.size else 0.0
-                if xmax > COST_RESIDUAL_X_MAX:
-                    table = None  # dense exponential for this γ range
-                else:
-                    coarse = np.exp(np.multiply.outer(-1j * gam0, reps))
-                    np.take(coarse, idx, axis=1, out=states)
-                    self._residual_rotation(gam0, rpow, scratch)
-                    states *= scratch
-            if table is None:
-                np.multiply.outer(-1j * gam0, diagonal, out=states)
-                np.exp(states, out=states)
-            elif table[0] == "exact":
-                _, values, inverse = table
-                phase = np.exp(np.multiply.outer(-1j * gam0, values))
-                np.take(phase, inverse, axis=1, out=states)
-            self.apply_mixer_layer(
-                states, mat[:, p], scratch=scratch, scale=1.0 / np.sqrt(dim)
-            )
-            return self._walk_layers(states, diagonal, mat, scratch, first=1)
+        half, table = self._cost_table(diagonal)
+        p = params.shape[-1] // 2
+        if p == 0:
+            return super()._evolve_plus(states, diagonal, params, scratch)
+        rows, dim = states.shape
+        width = dim // 2 if half else dim
+        phi = states.reshape(-1)[: rows * width].reshape(rows, width)
+        if scratch is None:
+            buf = np.empty_like(phi)
+        else:
+            buf = scratch.reshape(-1)[: rows * width].reshape(rows, width)
+        diag = diagonal[:width]
+        for layer in range(p):
+            gam, beta = np.asarray(params[..., layer]), params[..., p + layer]
+            self._apply_cost(table, diag, gam, phi, buf, fresh=layer == 0)
+            scale = None if layer else 1.0 / np.sqrt(dim)
+            self.apply_mixer_layer(phi, beta, scratch=buf, scale=scale)
+            if half:
+                c, s = np.cos(beta), -1j * np.sin(beta)
+                if np.ndim(beta):
+                    c, s = c[:, None], s[:, None]
+                np.multiply(phi[:, ::-1], s, out=buf)
+                phi *= c
+                phi += buf
+        if half:
+            # Unfold in place, last row first: compact row b sits at
+            # [b·w, (b+1)·w) of the flat storage, below its full row's
+            # slot [2b·w, 2(b+1)·w) for b ≥ 1, so each write lands only on
+            # compact rows already unfolded.
+            for b in range(rows - 1, -1, -1):
+                row = phi[b]
+                states[b, width:] = row[::-1]
+                if b:
+                    states[b, :width] = row
+        return states
 
 
 __all__ = [

@@ -267,6 +267,8 @@ def top_amplitudes(state: np.ndarray, k: int = 1) -> np.ndarray:
     The paper selects the single highest amplitude as the QAOA solution
     (§3.2) and suggests considering several — both use this helper.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     probs = probabilities(state)
     k = min(k, len(probs))
     idx = np.argpartition(probs, len(probs) - k)[-k:]

@@ -127,30 +127,40 @@ class TestCrossBackendParity:
             )
 
     def test_blocked_mixer_parity_every_width(self):
-        # Every stage plan up to n=18 (5 | 5, 4, 4): 1-D pointwise,
-        # B=1 and B=5 batched evolution (per-row β, first mixer folding
-        # the 1/√dim amplitude via scale=), and a scalar β shared by all
-        # rows with an explicit scale= fold; weighted diagonals at n ≥ 10
-        # also cross the bucketed-residual cost path.
+        # Every stage plan up to n=18 (5 | 5, 4, 4): pointwise, B=1 and
+        # B=5 batched evolution (per-row β, first mixer folding the
+        # 1/√dim amplitude via scale=), and a scalar β shared by all rows
+        # with an explicit scale= fold.  Cut diagonals are bit-flip
+        # symmetric, so fused takes its half walk: its states must have
+        # exact twins ψ(z) == ψ(~z).  Small γ keeps weighted diagonals at
+        # n ≥ 10 on the bucketed-residual cost path; γ ~ π forces its
+        # dense fallback.
         ref, fused = NumpyBackend(), FusedBackend()
         rng = np.random.default_rng(13)
         for n in range(1, 19):
             for weighted in (False, True):
                 diag = cut_diagonal(erdos_renyi(n, 0.4, weighted=weighted, rng=n))
-                params = rng.uniform(-np.pi, np.pi, 4)
-                np.testing.assert_allclose(
-                    fused.evolve_state(diag, params),
-                    ref.evolve_state(diag, params),
-                    atol=PARITY_ATOL,
-                )
-                for rows in (1, 5):
-                    mat = rng.uniform(-np.pi, np.pi, (rows, 4))
-                    a = ref.evolve_batch(diag, mat).copy()
-                    b = fused.evolve_batch(diag, mat).copy()
-                    np.testing.assert_allclose(a, b, atol=PARITY_ATOL)
-                    shared = 0.5 * ref.apply_mixer_layer(a.copy(), 0.37)
-                    folded = fused.apply_mixer_layer(a, 0.37, scale=0.5)
-                    np.testing.assert_allclose(folded, shared, atol=PARITY_ATOL)
+                half, table = fused._cost_table(diag)
+                assert half
+                if weighted and n >= 10:
+                    assert table[0] == "bucket"
+                for gamma_scale in (0.02, np.pi):
+                    scales = np.r_[gamma_scale, gamma_scale, np.pi, np.pi]
+                    params = rng.uniform(-1, 1, 4) * scales
+                    state = fused.evolve_state(diag, params)
+                    np.testing.assert_allclose(
+                        state, ref.evolve_state(diag, params), atol=PARITY_ATOL
+                    )
+                    assert np.array_equal(state, state[::-1])
+                    for rows in (1, 5):
+                        mat = rng.uniform(-1, 1, (rows, 4)) * scales
+                        a = ref.evolve_batch(diag, mat).copy()
+                        b = fused.evolve_batch(diag, mat).copy()
+                        np.testing.assert_allclose(a, b, atol=PARITY_ATOL)
+                        assert np.array_equal(b, b[:, ::-1])
+                        shared = 0.5 * ref.apply_mixer_layer(a.copy(), 0.37)
+                        folded = fused.apply_mixer_layer(a, 0.37, scale=0.5)
+                        np.testing.assert_allclose(folded, shared, atol=PARITY_ATOL)
 
     def test_stage_plan_is_pure_and_bounded(self):
         from repro.quantum.backend.fused import (
@@ -214,8 +224,8 @@ class TestCrossBackendParity:
         fused, ref = FusedBackend(), NumpyBackend()
         graph = erdos_renyi(n, 0.4, weighted=True, rng=12)
         diag = cut_diagonal(graph)
-        table = fused._cost_table(diag)
-        assert table is not None and table[0] == "bucket"
+        half, table = fused._cost_table(diag)
+        assert half and table is not None and table[0] == "bucket"
         rng = np.random.default_rng(5)
         mat = rng.uniform(-np.pi, np.pi, (7, 6))
         a = ref.evolve_batch(diag, mat).copy()
@@ -232,8 +242,8 @@ class TestCrossBackendParity:
         fused, ref = FusedBackend(), NumpyBackend()
         graph = erdos_renyi(n, 0.4, weighted=True, rng=12)
         diag = cut_diagonal(graph)
-        table = fused._cost_table(diag)
-        assert table is not None and table[0] == "bucket"
+        half, table = fused._cost_table(diag)
+        assert half and table is not None and table[0] == "bucket"
         rmax = table[4]
         big = np.full(3, 2.0 * COST_RESIDUAL_X_MAX / rmax)
         states_a = ref.plus_state_batch(n, 3)
@@ -269,7 +279,7 @@ class TestCrossBackendParity:
         ):
             diag = cut_diagonal(erdos_renyi(n, 0.5, weighted=weighted, rng=4))
             if kind is not None:
-                assert backend._cost_table(diag)[0] == kind
+                assert backend._cost_table(diag)[1][0] == kind
             rng = np.random.default_rng(1)
             states = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal(
                 (3, 1 << n)
@@ -599,6 +609,75 @@ class TestChunkPolicy:
             for width in (1, 2, 4, None):
                 engine = SweepEngine(graph, backend=backend, chunk_size=width)
                 np.testing.assert_array_equal(engine.statevectors(mat), reference)
+
+
+# ---------------------------------------------------------------------------
+# Fused symmetric half walk
+# ---------------------------------------------------------------------------
+class TestSymmetricHalfWalk:
+    """Cut diagonals satisfy d[z] == d[~z]; fused evolves them on the
+    top-qubit-0 half and unfolds (parity and twins at every width are
+    pinned by ``test_blocked_mixer_parity_every_width``)."""
+
+    def test_non_symmetric_diagonal_takes_full_walk(self):
+        ref, fused = NumpyBackend(), FusedBackend()
+        rng = np.random.default_rng(31)
+        for n in (3, 11, 14):
+            diag = rng.uniform(0.0, 5.0, 1 << n)
+            assert fused._cost_table(diag)[0] is False
+            params = rng.uniform(-0.05, 0.05, 6)
+            np.testing.assert_allclose(
+                fused.evolve_state(diag, params),
+                ref.evolve_state(diag, params),
+                atol=PARITY_ATOL,
+            )
+            mat = rng.uniform(-0.05, 0.05, (4, 6))
+            np.testing.assert_allclose(
+                fused.evolve_batch(diag, mat), ref.evolve_batch(diag, mat),
+                atol=PARITY_ATOL,
+            )
+
+    def test_cost_layer_on_arbitrary_states_mirrors_half_table(self):
+        # The public primitive takes any (B, dim) state, twins or not: the
+        # high half gets the half table's phases reversed.
+        ref, fused = NumpyBackend(), FusedBackend()
+        rng = np.random.default_rng(37)
+        n = 12
+        for weighted in (False, True):
+            diag = cut_diagonal(erdos_renyi(n, 0.4, weighted=weighted, rng=8))
+            states = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal(
+                (3, 1 << n)
+            )
+            for gammas in (0.01, np.array([0.01, -0.02, 0.015])):
+                a = ref.apply_cost_layer(states.copy(), diag, gammas)
+                b = fused.apply_cost_layer(states.copy(), diag, gammas)
+                if weighted:
+                    np.testing.assert_allclose(b, a, atol=PARITY_ATOL)
+                else:  # exact gather: bit-identical
+                    np.testing.assert_array_equal(b, a)
+
+    def test_evolve_state_stays_inherited(self):
+        # perfbench's tracer times evolve_state where the base class
+        # defines it; an override would bypass it.
+        assert "evolve_state" not in FusedBackend.__dict__
+
+
+# ---------------------------------------------------------------------------
+# Tracing: both evolve entry points open one backend-evolve span
+# ---------------------------------------------------------------------------
+class TestEvolveSpans:
+    @pytest.mark.parametrize("name", ["numpy", "fused"])
+    def test_pointwise_expectation_records_one_span(self, name):
+        from repro.util.tracing import TraceContext, use_trace
+
+        energy = MaxCutEnergy(erdos_renyi(8, 0.5, weighted=True, rng=3), backend=name)
+        trace = TraceContext()
+        with use_trace(trace):
+            energy.expectation(np.array([0.2, -0.4, 0.7, 0.1, 0.3, -0.2]))
+        trace.finish()
+        spans = [s for s in trace.iter_spans() if s.name == "backend-evolve"]
+        assert len(spans) == 1
+        assert spans[0].attrs == {"backend": name, "rows": 1, "layers": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,41 @@ class TestCutDiagonal:
         g = Graph.from_edges(3, [])
         assert np.all(cut_diagonal(g) == 0.0)
 
+    @staticmethod
+    def _full_loop_diagonal(graph, chunk=1 << 22):
+        """The every-index accumulation loop, kept as the oracle for the
+        mirrored half accumulation."""
+        size = 1 << graph.n_nodes
+        diag = np.zeros(size, dtype=np.float64)
+        if graph.n_edges == 0:
+            return diag
+        u64 = graph.u.astype(np.uint64)
+        v64 = graph.v.astype(np.uint64)
+        for start in range(0, size, chunk):
+            stop = min(start + chunk, size)
+            idx = np.arange(start, stop, dtype=np.uint64)
+            block = diag[start:stop]
+            for a, b, weight in zip(u64, v64, graph.w, strict=True):
+                differs = ((idx >> a) ^ (idx >> b)) & np.uint64(1)
+                block += weight * differs
+        return diag
+
+    @pytest.mark.parametrize("kind", ["unweighted", "weighted", "negative", "edgeless"])
+    def test_half_accumulation_bit_identical(self, kind):
+        rng = np.random.default_rng(5)
+        for n in range(1, 17):
+            if kind == "edgeless":
+                graph = Graph.from_edges(n, [])
+            else:
+                graph = erdos_renyi(n, 0.5, weighted=kind != "unweighted", rng=n)
+                if kind == "negative":
+                    graph = Graph(graph.n_nodes, graph.u, graph.v,
+                                  rng.uniform(-2.0, 1.0, graph.n_edges))
+            diag = cut_diagonal(graph)
+            assert np.array_equal(diag, self._full_loop_diagonal(graph)), (kind, n)
+            assert np.array_equal(diag, diag[::-1])
+            assert np.array_equal(cut_diagonal(graph, chunk=3), diag)
+
 
 class TestBaselines:
     def test_random_cut_valid(self, er_small):

@@ -79,6 +79,10 @@ class TestSelectionRules:
         )
         assert topk.cut >= top1.cut  # same state, wider candidate set
 
+    def test_topk_below_one_rejected(self, er_small):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            QAOASolver(selection="topk", top_k=0, rng=0).solve(er_small)
+
     def test_sampled_selection_valid(self, er_small):
         result = QAOASolver(layers=2, selection="sampled", shots=512, rng=1,
                             maxiter=25).solve(er_small)

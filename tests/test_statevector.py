@@ -182,6 +182,11 @@ class TestMeasurement:
         assert top[0] == 1
         assert set(top.tolist()) <= {1, 2, 3}
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_top_amplitudes_rejects_k_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            top_amplitudes(plus_state(6), k)
+
     def test_top_amplitudes_k_clamped(self):
         top = top_amplitudes(plus_state(2), 100)
         assert len(top) == 4
