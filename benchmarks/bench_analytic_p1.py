@@ -1,17 +1,18 @@
-"""Analytic p=1 fast path vs the statevector angle-grid tiers.
+"""Analytic p=1 fast path vs exact statevector angle grids.
 
-Times the same seeded 16-qubit (γ, β) landscape through the three
-:meth:`repro.qaoa.engine.SweepEngine.angle_grid` tiers:
+Times the same seeded 16-qubit (γ, β) landscape three ways:
 
 * **analytic** — the closed-form O(E·n) evaluation of
   :mod:`repro.qaoa.analytic` (no statevector at all),
-* **spectral** — the mixer-eigenbasis statevector path (one WHT per γ
-  chunk, β axis closed-form),
+* **statevector** — the generic tier of
+  :meth:`repro.qaoa.engine.SweepEngine.angle_grid` (``method="batched"``):
+  the product grid evolved as chunked ``(B, 2**n)`` statevector batches,
 * **loop** — the per-point ``MaxCutEnergy.expectation`` double loop (the
   seed implementation).
 
-Acceptance bar (ISSUE 3): analytic matches the spectral grid to ≤1e-9 max
-abs deviation and is ≥10× faster at n=16.  ``--quick`` emits the JSON
+Acceptance bar: analytic matches the statevector grid to ≤1e-9 max abs
+deviation, all three agree on the best grid point, and analytic is ≥10×
+faster than the statevector grid at n=16.  ``--quick`` emits the JSON
 report and the shared-schema ``BENCH_analytic_p1.json`` regression record.
 """
 
@@ -23,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments import run_angle_grid
+from repro.experiments import AngleGridResult, default_angle_axes, run_angle_grid
 from repro.graphs import erdos_renyi
 from repro.qaoa import SweepEngine
 
@@ -49,19 +50,25 @@ def test_angle_grid_analytic(benchmark, graph):
     assert result.energies.shape == (RESOLUTION, RESOLUTION)
 
 
-def test_angle_grid_spectral(benchmark, graph):
-    result = benchmark(
-        lambda: run_angle_grid(graph, resolution=RESOLUTION, method="spectral")
-    )
+def _statevector_grid(engine: SweepEngine, resolution: int) -> AngleGridResult:
+    """The exact-statevector comparator: the engine's generic batched tier."""
+    gammas, betas = default_angle_axes(resolution)
+    energies = engine.angle_grid(gammas, betas, method="batched")
+    return AngleGridResult(gammas, betas, energies, method="batched")
+
+
+def test_angle_grid_statevector(benchmark, graph):
+    engine = SweepEngine(graph)
+    result = benchmark(lambda: _statevector_grid(engine, RESOLUTION))
     assert result.energies.shape == (RESOLUTION, RESOLUTION)
 
 
-def test_analytic_matches_spectral(graph):
+def test_analytic_matches_statevector(graph):
     analytic = run_angle_grid(graph, resolution=RESOLUTION, method="analytic")
-    spectral = run_angle_grid(graph, resolution=RESOLUTION, method="spectral")
-    deviation = float(np.abs(analytic.energies - spectral.energies).max())
+    statevector = _statevector_grid(SweepEngine(graph), RESOLUTION)
+    deviation = float(np.abs(analytic.energies - statevector.energies).max())
     assert deviation <= 1e-9
-    assert analytic.best_index == spectral.best_index
+    assert analytic.best_index == statevector.best_index
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +85,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def quick_report(n_nodes: int = N_NODES, resolution: int = RESOLUTION) -> dict:
-    """Analytic vs spectral vs per-point loop on one seeded graph."""
+    """Analytic vs statevector grid vs per-point loop on one seeded graph."""
     graph = erdos_renyi(n_nodes, EDGE_PROB, weighted=True, rng=GRAPH_SEED)
     engine = SweepEngine(graph)
 
@@ -87,11 +94,7 @@ def quick_report(n_nodes: int = N_NODES, resolution: int = RESOLUTION) -> dict:
             graph, resolution=resolution, engine=engine, method="analytic"
         )
     )
-    spectral_s = _best_of(
-        lambda: run_angle_grid(
-            graph, resolution=resolution, engine=engine, method="spectral"
-        )
-    )
+    statevector_s = _best_of(lambda: _statevector_grid(engine, resolution))
     # The loop is the slow reference: time a single pass.
     loop = run_angle_grid(graph, resolution=resolution, method="loop")
     loop_s = loop.elapsed
@@ -99,10 +102,10 @@ def quick_report(n_nodes: int = N_NODES, resolution: int = RESOLUTION) -> dict:
     analytic = run_angle_grid(
         graph, resolution=resolution, engine=engine, method="analytic"
     )
-    spectral = run_angle_grid(
-        graph, resolution=resolution, engine=engine, method="spectral"
+    statevector = _statevector_grid(engine, resolution)
+    dev_statevector = float(
+        np.abs(analytic.energies - statevector.energies).max()
     )
-    dev_spectral = float(np.abs(analytic.energies - spectral.energies).max())
     dev_loop = float(np.abs(analytic.energies - loop.energies).max())
     return {
         "bench": "analytic_p1_quick",
@@ -111,16 +114,16 @@ def quick_report(n_nodes: int = N_NODES, resolution: int = RESOLUTION) -> dict:
         "graph_seed": GRAPH_SEED,
         "grid": [resolution, resolution],
         "analytic_s": analytic_s,
-        "spectral_s": spectral_s,
+        "statevector_s": statevector_s,
         "loop_s": loop_s,
-        "speedup_vs_spectral": spectral_s / analytic_s,
+        "speedup_vs_statevector": statevector_s / analytic_s,
         "speedup_vs_loop": loop_s / analytic_s,
-        "max_abs_dev_vs_spectral": dev_spectral,
+        "max_abs_dev_vs_statevector": dev_statevector,
         "max_abs_dev_vs_loop": dev_loop,
         "best_index": list(analytic.best_index),
         "best_energy": analytic.best_energy,
         "best_index_identical": bool(
-            analytic.best_index == spectral.best_index == loop.best_index
+            analytic.best_index == statevector.best_index == loop.best_index
         ),
     }
 
@@ -134,20 +137,22 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="emit an analytic-vs-spectral-vs-loop angle-grid timing JSON "
+        help="emit an analytic-vs-statevector-vs-loop angle-grid timing JSON "
         "instead of running pytest-benchmark",
     )
     args = parser.parse_args()
     if not args.quick:
         parser.error("run under pytest for full benchmarks, or pass --quick")
     report = quick_report()
-    # ISSUE 3 acceptance bar, enforced on every CI run.
-    assert report["max_abs_dev_vs_spectral"] <= 1e-9, (
-        f"analytic deviates from spectral by {report['max_abs_dev_vs_spectral']:.2e}"
+    # Acceptance bar, enforced on every CI run.
+    deviation = report["max_abs_dev_vs_statevector"]
+    assert deviation <= 1e-9, (
+        f"analytic deviates from the statevector grid by {deviation:.2e}"
     )
     assert report["best_index_identical"], "tiers disagree on the best grid point"
-    assert report["speedup_vs_spectral"] >= 10.0, (
-        f"analytic only {report['speedup_vs_spectral']:.1f}x faster than spectral"
+    speedup = report["speedup_vs_statevector"]
+    assert speedup >= 10.0, (
+        f"analytic only {speedup:.1f}x faster than the statevector grid"
     )
     text = json.dumps(report, indent=2)
     print(text)
@@ -162,7 +167,7 @@ def main() -> None:
             {
                 "best_index": report["best_index"],
                 "best_energy": report["best_energy"],
-                "max_abs_dev_vs_spectral": report["max_abs_dev_vs_spectral"],
+                "max_abs_dev_vs_statevector": report["max_abs_dev_vs_statevector"],
             }
         ),
     )

@@ -87,12 +87,6 @@ def test_kernel_phases_batched(benchmark, graph):
     benchmark(lambda: KERNELS.apply_cost_layer(states, diag, gammas, scratch=scratch))
 
 
-def test_kernel_walsh_hadamard_batched(benchmark):
-    states = plus_state_batch(12, BATCH)
-    scratch = np.empty_like(states)
-    benchmark(lambda: KERNELS.walsh_transform(states, scratch=scratch))
-
-
 def test_kernel_qaoa_energies_batch(benchmark):
     graph = erdos_renyi(12, 0.3, rng=0)
     engine = SweepEngine(graph)

@@ -77,7 +77,6 @@ KERNEL_NAMES = frozenset(
         "plus_state_batch",
         "apply_rx_layer",
         "apply_phases_batch",
-        "walsh_hadamard_batch",
     }
 )
 KERNEL_SOURCES = (
@@ -95,8 +94,8 @@ class BackendSeamRule(Rule):
     name = "backend-seam"
     description = (
         "Raw statevector kernels (apply_rx_layer, apply_phases_batch, "
-        "walsh_hadamard_batch, plus_state_batch) may be imported only "
-        "inside repro.quantum.backend; everyone else goes through a "
+        "plus_state_batch) may be imported only inside "
+        "repro.quantum.backend; everyone else goes through a "
         "StatevectorBackend."
     )
     invariant = "PR 5 (pluggable backend layer: the seam is grep-clean)"

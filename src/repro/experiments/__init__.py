@@ -14,7 +14,6 @@ from repro.experiments.gridsearch import (
     GridSearchConfig,
     GridSearchResult,
     default_angle_axes,
-    laptop_scale_config,
     paper_scale_config,
     run_angle_grid,
     run_grid_search,
@@ -50,7 +49,6 @@ __all__ = [
     "GridSearchConfig",
     "GridSearchResult",
     "default_angle_axes",
-    "laptop_scale_config",
     "paper_scale_config",
     "run_angle_grid",
     "run_grid_search",

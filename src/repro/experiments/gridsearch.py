@@ -15,7 +15,7 @@ for the same graph.  Reported aggregations match the paper's three panels:
 The paper's iteration budget ("linearly dependent on p, 30 to 100") is the
 default.  ``paper_scale_config()`` reproduces the full published sweep
 (N ∈ [15, 25], p_edge ∈ {0.1..0.5}, p ∈ {3..8}, rhobeg ∈ {0.1..0.5});
-``laptop_scale_config()`` is the CI-friendly default.
+a bare ``GridSearchConfig()`` is the CI-friendly small sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from repro.util.rng import RngLike, ensure_rng
 
 @dataclass
 class GridSearchConfig:
-    """Sweep definition.  Defaults are laptop scale; see factory functions."""
+    """Sweep definition.  Defaults are laptop scale; see
+    :func:`paper_scale_config` for the published sweep."""
 
     node_counts: Sequence[int] = (8, 10, 12)
     edge_probs: Sequence[float] = (0.2, 0.4)
@@ -59,11 +60,6 @@ class GridSearchConfig:
     store_params: bool = True
     rng: RngLike = 0
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
-
-
-def laptop_scale_config(**overrides) -> GridSearchConfig:
-    """Small sweep that runs in seconds (default for tests/benches)."""
-    return GridSearchConfig(**overrides)
 
 
 def paper_scale_config(**overrides) -> GridSearchConfig:
@@ -315,10 +311,10 @@ def run_angle_grid(
     schedules (p ≥ 2).  ``method="batched"`` (default) routes through
     :meth:`SweepEngine.angle_grid` with automatic tier selection — the
     closed-form analytic path for p=1, chunked generic batches for deeper
-    grids.  ``"analytic"`` and ``"spectral"`` force the p=1 tiers
-    explicitly; ``method="loop"`` is the original per-point double Python
-    loop over :meth:`~repro.qaoa.energy.MaxCutEnergy.expectation`, kept as
-    the cross-validation reference and benchmark baseline.
+    grids.  ``"analytic"`` forces the p=1 closed form explicitly;
+    ``method="loop"`` is the original per-point double Python loop over
+    :meth:`~repro.qaoa.energy.MaxCutEnergy.expectation`, kept as the
+    cross-validation reference and benchmark baseline.
     """
     if gammas is None or betas is None:
         default_g, default_b = default_angle_axes(resolution)
@@ -329,7 +325,7 @@ def run_angle_grid(
     if engine is not None and engine.graph is not graph:
         raise ValueError("engine was built for a different graph")
     start = time.perf_counter()
-    if method in ("batched", "analytic", "spectral"):
+    if method in ("batched", "analytic"):
         engine = engine or SweepEngine(graph, chunk_size=chunk_size)
         tier = "auto" if method == "batched" else method
         energies = engine.angle_grid(gammas, betas, method=tier)
@@ -393,7 +389,6 @@ __all__ = [
     "GridSearchConfig",
     "GridSearchResult",
     "default_angle_axes",
-    "laptop_scale_config",
     "paper_scale_config",
     "run_angle_grid",
     "run_grid_search",

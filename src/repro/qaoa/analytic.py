@@ -36,9 +36,9 @@ statevector memory wall from large sub-graph p=1 sweeps entirely.  The β
 axis separates from the γ axis, so a full (γ, β) angle grid costs one S/T
 pass over the γ axis plus an outer product.
 
-:class:`AnalyticP1Energy` is the third :class:`repro.qaoa.engine.SweepEngine`
-evaluation tier (analytic p=1 → spectral grid → chunked generic batches) and
-backs the p=1 objectives of :class:`repro.qaoa.solver.QAOASolver`, the QAOA²
+:class:`AnalyticP1Energy` is the first :class:`repro.qaoa.engine.SweepEngine`
+evaluation tier (analytic p=1 → chunked generic batches) and backs the p=1
+objectives of :class:`repro.qaoa.solver.QAOASolver`, the QAOA²
 sub-graph option grid, and RQAOA's round-0 angle seeding.  Agreement with
 the statevector paths is pinned to ≤1e-9 in ``tests/test_analytic_p1.py``
 and measured by ``benchmarks/bench_analytic_p1.py``.

@@ -42,17 +42,15 @@ allocations.
 
 Evaluation tiers
 ----------------
-Three tiers, cheapest first, picked automatically where exact energies
+Two tiers, cheapest first, picked automatically where exact energies
 suffice:
 
 1. **analytic** (p=1): the closed-form ⟨C⟩(γ, β) of
    :mod:`repro.qaoa.analytic` — O(E·n) per point, *no statevector*, so
    large-graph p=1 angle grids have no 2**n memory wall at all.
-2. **spectral** (p=1 grids): mixer-eigenbasis statevector evaluation
-   (:meth:`SweepEngine._angle_grid_spectral`), kept as the exact
-   statevector cross-check of tier 1.
-3. **generic**: chunked ``(B, 2**n)`` statevector batches — any depth,
-   and the only tier that can hand back states (``statevectors``).
+2. **generic**: chunked ``(B, 2**n)`` statevector batches — any depth,
+   the only tier that can hand back states (``statevectors``), and the
+   exact-statevector cross-check of tier 1.
 
 Consumers
 ---------
@@ -83,38 +81,7 @@ from repro.quantum.backend import (
     resolve_backend,
     shared_pool,
 )
-from repro.quantum.backend.base import (
-    CHUNK_BUDGET_BYTES,
-    DEFAULT_CHUNK_SIZE,
-    cache_resident_chunk_size,
-)
 from repro.util.tracing import current_trace
-
-# Cap on the spectral angle-grid path's per-chunk working set (two
-# (rows, 2**n) complex buffers: transformed states + WHT scratch).
-SPECTRAL_BUDGET_BYTES = 256 * 1024 * 1024
-
-
-def auto_chunk_size(n_qubits: int) -> int:
-    """The cache-resident chunk sizing (delegates to
-    :func:`repro.quantum.backend.base.cache_resident_chunk_size`).
-
-    Kept as the historical ``repro.qaoa`` entry point; the engine itself
-    now asks the backend (:meth:`StatevectorBackend.preferred_chunk_size`)
-    rather than calling this directly — elementwise backends return
-    exactly this value."""
-    return cache_resident_chunk_size(n_qubits)
-
-
-def spectral_row_bytes(n_qubits: int) -> int:
-    """Spectral-path working set per γ row: a 2**n complex statevector,
-    counted twice (transformed state + ping-pong scratch)."""
-    return 2 * (1 << n_qubits) * 16
-
-
-# ScratchPool and shared_pool now live in repro.quantum.backend.scratch
-# (with an LRU byte budget); re-imported above and re-exported below for
-# the historical repro.qaoa import path.
 
 
 class SweepEngine:
@@ -178,7 +145,7 @@ class SweepEngine:
     def analytic(self) -> AnalyticP1Energy:
         """The closed-form p=1 evaluator for this graph (built lazily).
 
-        The engine's third evaluation tier: exact F_1 in O(E·n) per point
+        The engine's first evaluation tier: exact F_1 in O(E·n) per point
         with no 2**n statevector at all — see :mod:`repro.qaoa.analytic`.
         """
         if self._analytic is None:
@@ -324,132 +291,32 @@ class SweepEngine:
         * ``analytic`` — p=1 only: the closed form of
           :mod:`repro.qaoa.analytic`, O(E·n) per γ with the β axis an
           outer product.  No statevector, no 2**n memory wall.
-        * ``spectral`` — p=1 only: the mixer-eigenbasis statevector path
-          (:meth:`_angle_grid_spectral`), kept as the exact-statevector
-          cross-check of the analytic tier.
         * ``batched`` — any p: the product grid flattened into one chunked
-          generic :meth:`energies` batch.
+          generic :meth:`energies` batch; at p=1 it is the exact-statevector
+          cross-check of the analytic tier.
 
-        ``auto`` picks ``analytic`` for p=1 and ``batched`` otherwise; all
+        ``auto`` picks ``analytic`` for p=1 and ``batched`` otherwise; the
         tiers agree to ~1e-13 (pinned in tests).
         """
+        if method not in ("auto", "analytic", "batched"):
+            raise ValueError(f"unknown angle-grid method {method!r}")
         gammas, betas, p = self._angle_grid_axes(gammas, betas)
         n_g, n_b = gammas.shape[0], betas.shape[0]
         if method == "auto":
             method = "analytic" if p == 1 else "batched"
-        if method in ("analytic", "spectral") and p != 1:
+        if method == "analytic" and p != 1:
             raise ValueError(
-                f"the {method!r} tier supports p=1 only, got p={p}; use "
+                f"the 'analytic' tier supports p=1 only, got p={p}; use "
                 f"method='batched' (or 'auto') for deeper grids"
             )
         if n_g == 0 or n_b == 0:
             return np.zeros((n_g, n_b), dtype=np.float64)
         if method == "analytic":
             return self.analytic.grid(gammas[:, 0], betas[:, 0])
-        if method == "spectral":
-            return self._angle_grid_spectral(gammas[:, 0], betas[:, 0])
-        if method == "batched":
-            mat = np.empty((n_g * n_b, 2 * p), dtype=np.float64)
-            mat[:, :p] = np.repeat(gammas, n_b, axis=0)
-            mat[:, p:] = np.tile(betas, (n_g, 1))
-            return self.energies(mat).reshape(n_g, n_b)
-        raise ValueError(f"unknown angle-grid method {method!r}")
-
-    def _angle_grid_spectral(
-        self, gammas: np.ndarray, betas: np.ndarray
-    ) -> np.ndarray:
-        """Mixer-eigenbasis grid evaluation.
-
-        With ``|ψ(γ,β)⟩ = U_B(β) |φ_γ⟩`` and
-        ``U_B = H^{⊗n} e^{-iβ ΣZ} H^{⊗n}``, each edge observable conjugates
-        to ``H Z_a Z_b H = X_a X_b`` — a two-axis bit flip on the
-        transformed state ``u_γ = H^{⊗n} φ_γ``.  Splitting the matrix
-        element by the flipped bits, the β dependence collapses to a single
-        harmonic:
-
-            F(γ, β) = W/2 − Q(γ)/2 − Re[P(γ) · e^{4iβ}]
-
-        where, over edges (a, b, w) with flip bijections between the
-        bit-sectors of (x_a, x_b),
-
-            P(γ) = Σ_e w_e Σ_{x_a=x_b=0} ū(x) u(x ⊕ m_e)
-            Q(γ) = Σ_e w_e · 2 Re Σ_{x_a=0, x_b=1} ū(x) u(x ⊕ m_e).
-
-        Cost per γ chunk: one WHT plus O(E) masked dot products; every β
-        column is then O(1) per grid point.  (This is the same collapse
-        that gives the classical p=1 MaxCut formula its cos(4β) harmonic.)
-        """
-        n = self.n_qubits
-        dim = 1 << n
-        total_weight = float(np.sum(self.graph.w)) if self.graph.n_edges else 0.0
-        e4 = np.exp(4j * betas)
-        out = np.empty((len(gammas), len(betas)), dtype=np.float64)
-        rows = max(
-            1,
-            min(
-                self.chunk_rows(len(gammas), 1),
-                SPECTRAL_BUDGET_BYTES // spectral_row_bytes(n),
-            ),
-        )
-        for start in range(0, len(gammas), rows):
-            stop = min(start + rows, len(gammas))
-            m = stop - start
-            backend = self.backend
-            states = backend.plus_state_batch(
-                n, m, out=self.pool.take("states", (m, dim))
-            )
-            scratch = self.pool.take("phases", (m, dim))
-            backend.apply_cost_layer(
-                states, self.diagonal, gammas[start:stop], scratch=scratch
-            )
-            with current_trace().span(
-                "walsh_stage", rows=m, backend=backend.name
-            ):
-                backend.walsh_transform(states, scratch=scratch)
-            # Axis layout: axis 1 + (n-1-q) of the (m, 2, ..., 2) view is
-            # qubit q (little-endian index convention).
-            view = states.reshape((m, *((2,) * n)))
-            harmonic = np.zeros(m, dtype=np.complex128)  # P
-            constant = np.zeros(m, dtype=np.float64)  # Q
-            for a, b, weight in zip(self.graph.u, self.graph.v, self.graph.w, strict=True):
-                ax_a = 1 + (n - 1 - int(a))
-                ax_b = 1 + (n - 1 - int(b))
-
-                def sector(bit_a: int, bit_b: int) -> np.ndarray:
-                    idx = [slice(None)] * (n + 1)
-                    idx[ax_a] = bit_a
-                    idx[ax_b] = bit_b
-                    return view[tuple(idx)]
-
-                both_zero = (
-                    (np.conj(sector(0, 0)) * sector(1, 1))
-                    .reshape(m, -1)
-                    .sum(axis=1)
-                )
-                mixed = (
-                    (np.conj(sector(0, 1)) * sector(1, 0))
-                    .reshape(m, -1)
-                    .sum(axis=1)
-                )
-                harmonic += weight * both_zero
-                constant += weight * 2.0 * np.real(mixed)
-            # u is the unnormalised WHT (factor √dim per appearance; it
-            # appears twice in each sector product).
-            harmonic /= dim
-            constant /= dim
-            out[start:stop] = (
-                total_weight / 2.0
-                - constant[:, None] / 2.0
-                - np.real(np.multiply.outer(harmonic, e4))
-            )
-        return out
+        mat = np.empty((n_g * n_b, 2 * p), dtype=np.float64)
+        mat[:, :p] = np.repeat(gammas, n_b, axis=0)
+        mat[:, p:] = np.tile(betas, (n_g, 1))
+        return self.energies(mat).reshape(n_g, n_b)
 
 
-__all__ = [
-    "CHUNK_BUDGET_BYTES",
-    "DEFAULT_CHUNK_SIZE",
-    "ScratchPool",
-    "SweepEngine",
-    "auto_chunk_size",
-    "shared_pool",
-]
+__all__ = ["SweepEngine"]

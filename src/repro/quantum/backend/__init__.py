@@ -44,7 +44,6 @@ from repro.quantum.backend.scratch import (
 from repro.quantum.statevector import (  # noqa: F401 — sanctioned re-exports
     apply_phases_batch,
     apply_rx_layer,
-    walsh_hadamard_batch,
 )
 
 __all__ = [
@@ -70,5 +69,4 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "shared_pool",
-    "walsh_hadamard_batch",
 ]

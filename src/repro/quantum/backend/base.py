@@ -15,11 +15,9 @@ expressed in six operations:
   through the same cost→mixer loop,
 * :meth:`StatevectorBackend.expectations_batch` — ⟨ψ|H_C|ψ⟩ per row,
 
-plus :meth:`walsh_transform` (the unnormalised Walsh–Hadamard transform
-used by the spectral angle-grid tier and by fused-mixer backends),
-advisory chunk sizing via :meth:`preferred_chunk_size` (the sweep engine
-asks the backend how wide its evaluation chunks should be), and scratch
-management via :class:`repro.quantum.backend.scratch.ScratchPool`.
+plus advisory chunk sizing via :meth:`preferred_chunk_size` (the sweep
+engine asks the backend how wide its evaluation chunks should be), and
+scratch management via :class:`repro.quantum.backend.scratch.ScratchPool`.
 Implementations differ only in *how* they realise the operations (NumPy
 passes, fused FWHT kernels, future numba/GPU/distributed backends); all
 must agree numerically to ≤1e-12 with :class:`NumpyBackend`, which is the
@@ -122,13 +120,6 @@ class StatevectorBackend(ABC):
         Same shape contract as :meth:`apply_cost_layer`: a ``(B, 2**n)``
         batch with a scalar or ``(B,)`` β.
         """
-
-    @abstractmethod
-    def walsh_transform(
-        self, states: np.ndarray, *, scratch: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Unnormalised Walsh–Hadamard transform along the last axis,
-        in place (carries a ``2**(n/2)`` factor relative to H^{⊗n})."""
 
     @abstractmethod
     def expectations_batch(

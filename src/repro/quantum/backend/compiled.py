@@ -7,8 +7,8 @@ compiles the *entire* evolution into one kernel: each parameter row's
 statevector is built and evolved in a single loop nest, so a row stays
 resident in the core's cache from state prep through the last mixer —
 the same locality argument Aer-style simulators use for their fused
-``statevector`` method, here as three Numba ``@njit(parallel=True,
-cache=True)`` routines (cost-phase, RX-mixer butterfly, FWHT butterfly)
+``statevector`` method, here as Numba ``@njit(parallel=True,
+cache=True)`` routines (cost phase, RX-mixer butterfly, expectation)
 plus a fused whole-evolution kernel, parallelised over batch rows.
 
 Numerics are deliberately conservative: ``complex128`` throughout and
@@ -109,22 +109,6 @@ def _kernel_mixer_layer(states, betas, n_qubits):
                     states[b, i + half] = s * a0 + c * a1
 
 
-def _kernel_walsh(states):
-    """Unnormalised in-place FWHT along the last axis, row-parallel."""
-    rows, dim = states.shape
-    for b in prange(rows):
-        h = 1
-        while h < dim:
-            step = h << 1
-            for base in range(0, dim, step):
-                for i in range(base, base + h):
-                    x = states[b, i]
-                    y = states[b, i + h]
-                    states[b, i] = x + y
-                    states[b, i + h] = x - y
-            h = step
-
-
 def _kernel_expectations(states, diagonal, out):
     """out[b] = Σ_i |states[b,i]|² · diagonal[i], row-parallel."""
     rows, dim = states.shape
@@ -172,7 +156,6 @@ def _kernel_evolve(states, diagonal, gammas, betas, n_qubits):
 _PY_KERNELS: Dict[str, Callable] = {
     "cost": _kernel_cost_layer,
     "mixer": _kernel_mixer_layer,
-    "walsh": _kernel_walsh,
     "expect": _kernel_expectations,
     "evolve": _kernel_evolve,
 }
@@ -261,13 +244,6 @@ class CompiledBackend(StatevectorBackend):
         self._require_batch(states)
         bet = self._row_angles(states, betas, "betas")
         self._kernels["mixer"](states, bet, n_qubits_for_dim(states.shape[-1]))
-        return states
-
-    def walsh_transform(
-        self, states: np.ndarray, *, scratch: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        self._require_batch(states)
-        self._kernels["walsh"](states)
         return states
 
     def expectations_batch(

@@ -397,7 +397,7 @@ class FusedBackend(NumpyBackend):
         scale: Optional[float] = None,
     ) -> np.ndarray:
         """Blocked-stage mixer; ``scale`` folds an extra scalar into the
-        first stage matrix (no dedicated pass — see :meth:`evolve_batch`)."""
+        first stage matrix (no dedicated pass — see :meth:`_evolve_plus`)."""
         beta_arr = _batch_angles(states, betas, "betas")
         n = n_qubits_for_dim(states.shape[-1])
         if not states.flags.c_contiguous:

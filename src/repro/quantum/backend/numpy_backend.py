@@ -29,7 +29,6 @@ from repro.quantum.statevector import (
     apply_phases_batch,
     apply_rx_layer,
     plus_state_batch,
-    walsh_hadamard_batch,
 )
 
 
@@ -61,11 +60,6 @@ class NumpyBackend(StatevectorBackend):
         scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         return apply_rx_layer(states, betas, scratch=scratch)
-
-    def walsh_transform(
-        self, states: np.ndarray, *, scratch: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        return walsh_hadamard_batch(states, scratch=scratch)
 
     def expectations_batch(
         self, states: np.ndarray, diagonal: np.ndarray

@@ -209,34 +209,6 @@ def apply_rx_layer(
     return states
 
 
-def walsh_hadamard_batch(
-    states: np.ndarray, *, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Unnormalised Walsh–Hadamard transform along the last axis, in place.
-
-    ``n`` radix-2 butterfly passes; the result carries a factor of
-    ``2**(n/2)`` relative to ``H^{⊗n}|ψ⟩`` — callers fold the normalisation
-    into downstream constants (one multiply beats ``n`` scaled passes).
-    ``states`` must be C-contiguous (the butterflies run on reshaped views;
-    a strided input would silently operate on a copy).  ``scratch`` is an
-    optional same-shape ping-pong buffer.  Used by the sweep engine's
-    mixer-eigenbasis path: ``exp(-iβ ΣX) = H^{⊗n} exp(-iβ ΣZ) H^{⊗n}``.
-    """
-    n = n_qubits_for_dim(states.shape[-1])
-    if not states.flags.c_contiguous:
-        raise ValueError("states must be C-contiguous for in-place butterflies")
-    src, dst = states, _scratch_like(states, scratch)
-    for q in range(n):
-        view = src.reshape(-1, 2, 1 << q)
-        out = dst.reshape(view.shape)
-        np.add(view[:, 0, :], view[:, 1, :], out=out[:, 0, :])
-        np.subtract(view[:, 0, :], view[:, 1, :], out=out[:, 1, :])
-        src, dst = dst, src
-    if src is not states:
-        states[...] = src
-    return states
-
-
 def probabilities(state: np.ndarray) -> np.ndarray:
     """|ψ_i|² for every basis state."""
     return np.abs(state) ** 2
@@ -311,7 +283,6 @@ __all__ = [
     "apply_diagonal",
     "apply_phases_batch",
     "apply_rx_layer",
-    "walsh_hadamard_batch",
     "probabilities",
     "sample_counts",
     "top_amplitudes",

@@ -15,9 +15,9 @@ CORE packages can emit spans; this module is the *service-side* half:
   queue wait, cut-diagonal build, backend evolve, or cache I/O.
 
 Span vocabulary emitted by the stack (see docs/observability.md):
-``wire-parse``, ``submit``, ``shard-queue``, ``coalesced-inflight``,
-``solve``, ``fingerprint``, ``lookup``, ``store``, ``lockstep-batch``,
-``cut_diagonal``, ``evolve_chunk``, ``walsh_stage``, ``backend-evolve``.
+``request`` (the root), ``wire-parse``, ``await``, ``shard-queue``,
+``coalesced-inflight``, ``solve``, ``fingerprint``, ``lookup``, ``store``,
+``cut_diagonal``, ``evolve_chunk``, ``backend-evolve``.
 """
 
 from __future__ import annotations

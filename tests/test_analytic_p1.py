@@ -62,13 +62,11 @@ class TestAnalyticAgainstStatevector:
         np.testing.assert_allclose(analytic.energies(params), reference, atol=ATOL)
 
     @pytest.mark.parametrize("graph", edge_case_graphs())
-    def test_grid_matches_spectral_tier(self, graph):
+    def test_grid_matches_batched_tier(self, graph):
         gammas, betas = angle_axes(9)
         engine = SweepEngine(graph)
         analytic = engine.angle_grid(gammas, betas, method="analytic")
-        spectral = engine.angle_grid(gammas, betas, method="spectral")
         generic = engine.angle_grid(gammas, betas, method="batched")
-        np.testing.assert_allclose(analytic, spectral, atol=ATOL)
         np.testing.assert_allclose(analytic, generic, atol=ATOL)
 
     def test_auto_tier_is_analytic_for_p1(self, weighted_square):
@@ -213,17 +211,19 @@ class TestAngleGridValidation:
         with pytest.raises(ValueError, match="at least one layer"):
             engine.angle_grid(np.zeros((4, 0)), np.zeros((4, 0)))
 
-    def test_spectral_tier_rejects_deep_grids(self, er_small):
+    def test_analytic_tier_rejects_deep_grids(self, er_small):
         engine = SweepEngine(er_small)
         with pytest.raises(ValueError, match="p=1 only"):
             engine.angle_grid(
-                np.zeros((2, 2)), np.zeros((2, 2)), method="spectral"
+                np.zeros((2, 2)), np.zeros((2, 2)), method="analytic"
             )
 
     def test_unknown_method_rejected(self, er_small):
         engine = SweepEngine(er_small)
-        with pytest.raises(ValueError, match="unknown angle-grid method"):
-            engine.angle_grid(np.zeros(2), np.zeros(2), method="magic")
+        # Empty axes too: the method is checked before the empty-grid return.
+        for gammas, betas in ((np.zeros(2), np.zeros(2)), (np.zeros(0), np.zeros(3))):
+            with pytest.raises(ValueError, match="unknown angle-grid method"):
+                engine.angle_grid(gammas, betas, method="magic")
 
     def test_empty_axes_return_empty_grid(self, er_small):
         engine = SweepEngine(er_small)

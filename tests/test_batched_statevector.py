@@ -127,28 +127,6 @@ class TestKernels:
             expected = float(np.dot(np.abs(state) ** 2, diag))
             assert values[row] == pytest.approx(expected, abs=ATOL)
 
-    def test_walsh_hadamard_matches_matrix(self):
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 4):
-            dim = 1 << n
-            hadamard = np.ones((1, 1))
-            for _ in range(n):
-                hadamard = np.kron(hadamard, np.array([[1, 1], [1, -1]], float))
-            states = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
-            out = BACKEND.walsh_transform(states.copy())
-            np.testing.assert_allclose(out, states @ hadamard.T, atol=ATOL)
-
-    def test_walsh_hadamard_involution(self):
-        rng = np.random.default_rng(12)
-        states = rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))
-        roundtrip = BACKEND.walsh_transform(BACKEND.walsh_transform(states.copy()))
-        np.testing.assert_allclose(roundtrip, 32 * states, atol=1e-9)
-
-    def test_walsh_hadamard_rejects_strided(self):
-        big = np.zeros((2, 4, 8), dtype=np.complex128)
-        with pytest.raises(ValueError, match="contiguous"):
-            BACKEND.walsh_transform(big[:, 1, :])
-
     def test_n_qubits_for_dim_rejects_non_power_of_two(self):
         for bad in (0, 3, 6, 12, 100):
             with pytest.raises(ValueError, match="power of 2"):

@@ -95,17 +95,6 @@ class TestKernelParity:
             perrow = backend.apply_mixer_layer(raw.copy(), np.full(4, 0.37))
             np.testing.assert_allclose(shared, perrow, atol=PARITY_ATOL)
 
-    def test_walsh_transform(self, backend):
-        ref = NumpyBackend()
-        rng = np.random.default_rng(3)
-        for n in (1, 2, 5, 7):
-            raw = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal(
-                (3, 1 << n)
-            )
-            a = ref.walsh_transform(raw.copy())
-            b = backend.walsh_transform(raw.copy())
-            np.testing.assert_allclose(b, a, atol=PARITY_ATOL)
-
     def test_expectations(self, backend):
         ref = NumpyBackend()
         rng = np.random.default_rng(4)

@@ -4,6 +4,7 @@ map must cover the tree, and the docs-check tool must pass (ISSUE 8)."""
 
 from __future__ import annotations
 
+import ast
 import re
 import subprocess
 import sys
@@ -22,6 +23,8 @@ README_MD = REPO_ROOT / "README.md"
 
 # Rows of the error-contract table: | `code` | 400 | meaning |
 ERROR_ROW_RE = re.compile(r"^\|\s*`([a-z-]+)`\s*\|\s*(\d{3})\s*\|", re.MULTILINE)
+# Rows of the span-vocabulary table: | `name` | layer | meaning |
+SPAN_ROW_RE = re.compile(r"^\|\s*`([a-z_-]+)`\s*\|", re.MULTILINE)
 
 
 class TestHttpApiDoc:
@@ -105,24 +108,43 @@ class TestObservabilityDoc:
             f"code-only={sorted(code_tokens - doc_tokens)}"
         )
 
+    @staticmethod
+    def emitted_spans() -> set:
+        """Span names the code emits: the string literal opening every
+        ``.span("…")`` / ``.add_span("…")`` call under src/, plus the
+        implicit ``request`` root."""
+        names = {"request"}
+        for path in (REPO_ROOT / "src").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("span", "add_span")
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)
+                ):
+                    names.add(node.args[0].value)
+        return names
+
     def test_span_vocabulary_is_documented(self):
+        from repro.service import trace
+
+        emitted = self.emitted_spans()
         text = self.OBSERVABILITY_MD.read_text()
-        for span in (
-            "request",
-            "wire-parse",
-            "await",
-            "shard-queue",
-            "coalesced-inflight",
-            "fingerprint",
-            "lookup",
-            "solve",
-            "store",
-            "cut_diagonal",
-            "evolve_chunk",
-            "walsh_stage",
-            "backend-evolve",
+        _, _, section = text.partition("## Span vocabulary")
+        table = set(SPAN_ROW_RE.findall(section.split("\n## ", 1)[0]))
+        _, _, paragraph = trace.__doc__.partition("Span vocabulary")
+        docstring = set(re.findall(r"``([a-z_-]+)``", paragraph.split("\n\n")[0]))
+        for where, listed in (
+            ("docs/observability.md span table", table),
+            ("repro.service.trace docstring", docstring),
         ):
-            assert f"`{span}`" in text, f"span {span!r} missing from observability.md"
+            assert listed == emitted, (
+                f"{where} drifted from the spans the code emits; "
+                f"listed-only={sorted(listed - emitted)}, "
+                f"code-only={sorted(emitted - listed)}"
+            )
 
     def test_trace_header_and_endpoints_are_documented(self):
         from repro.service.http import TRACE_HEADER, TRACE_ROUTE_PREFIX
